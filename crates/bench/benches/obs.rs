@@ -3,16 +3,18 @@
 //!
 //! Two comparisons:
 //!
-//! 1. **Warm-sweep overhead** — the same scenario grid through the
-//!    parallel sweep engine with telemetry enabled vs globally disabled
-//!    (`hems_obs::set_enabled(false)`, which turns every record call
-//!    into one relaxed atomic load). The sweep path carries spans and
-//!    counters per scenario, so this is the end-to-end price of leaving
-//!    telemetry on. The two configurations are sampled *interleaved*
-//!    (disabled/enabled alternating within one loop, order swapped every
-//!    other pair) — back-to-back blocks would charge clock-frequency and
-//!    thermal drift entirely to whichever config ran second, which on a
-//!    shared box is far larger than the effect being measured. The
+//! 1. **Warm-sweep overhead** — the same scenario list through the exact
+//!    sweep engine (`run_scenarios_chunked` on a `WorkerPool` of the
+//!    resolved core count, one scenario per job) with telemetry enabled
+//!    vs globally disabled (`hems_obs::set_enabled(false)`, which turns
+//!    every record call into one relaxed atomic load). The sweep path
+//!    carries spans and counters per scenario, so this is the end-to-end
+//!    price of leaving telemetry on. The two configurations are sampled
+//!    *interleaved* (disabled/enabled alternating within one loop, order
+//!    swapped every other pair) — back-to-back blocks would charge
+//!    clock-frequency and thermal drift entirely to whichever config ran
+//!    second, which on a shared box is far larger than the effect being
+//!    measured. The
 //!    headline number is the median of *per-pair* ratios: the two passes
 //!    of a pair share machine state, so the ratio cancels drift that
 //!    still jitters independent medians by ~1 %. Outside smoke mode the
@@ -28,6 +30,7 @@ use hems_bench::harness::{measurement_json, percentile, Harness, Json, Measureme
 use hems_obs::clock::monotonic_ns;
 use hems_pv::Irradiance;
 use hems_sim::sweep::{self, SweepGrid};
+use hems_sim::WorkerPool;
 use hems_units::Seconds;
 use std::hint::black_box;
 
@@ -44,6 +47,11 @@ fn main() {
     let mut c = Harness::from_env();
     let cores = sweep::resolved_threads(None);
     let grid = bench_grid();
+    let scenarios = grid.scenarios().expect("grid expands");
+    let pool = WorkerPool::new(cores);
+    // One scenario per job, so every worker draws work even on this
+    // small list.
+    let run = || sweep::run_scenarios_chunked(&scenarios, &pool, 1);
     println!(
         "[obs bench] {} scenarios on {} workers{}",
         grid.len(),
@@ -55,12 +63,12 @@ fn main() {
     // Warm passes so LUTs/allocators are in steady state before either
     // timed configuration runs.
     for _ in 0..if c.is_smoke() { 1 } else { 4 } {
-        black_box(sweep::run_parallel(&grid, cores).expect("grid expands"));
+        black_box(run());
     }
     let timed_pass = |enabled: bool| -> f64 {
         hems_obs::set_enabled(enabled);
         let t = monotonic_ns();
-        black_box(sweep::run_parallel(&grid, cores).expect("grid expands"));
+        black_box(run());
         monotonic_ns().saturating_sub(t) as f64
     };
     let pairs = if c.is_smoke() { 1 } else { 60 };

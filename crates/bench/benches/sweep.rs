@@ -1,20 +1,18 @@
-//! The scenario-sweep benchmark: serial vs parallel vs batch engine
-//! throughput, batch-kernel microbenches, and LUT vs exact solver speed,
-//! written to `BENCH_sweep.json` at the repo root (plus the usual stdout
-//! report).
+//! The scenario-sweep benchmark: exact vs batch engine throughput,
+//! batch-kernel microbenches, and LUT vs exact solver speed, written to
+//! `BENCH_sweep.json` at the repo root (plus the usual stdout report).
 //!
 //! Four comparisons, matching the performance claims this repo makes:
 //!
-//! 1. **Sweep engine** — the same scenario grid through
-//!    `run_scenarios_serial`, `run_scenarios_parallel(available cores)`,
-//!    and the SoA batch engine `run_scenarios_batch` (shared device
-//!    tables, 8-lane lockstep chunks). The JSON records all three medians
-//!    plus the parallel and batch speedups; the parallel speedup is only
-//!    meaningful on multi-core machines — single-core CI verifies the
-//!    adaptive serial cutover keeps it at parity instead.
-//! 2. **Scaling** — the engine trio at 8, 32, and 128 scenarios, so the
-//!    adaptive cutover (`parallel ≥ serial` at every count) and the batch
-//!    engine's scaling behaviour are both on record.
+//! 1. **Sweep engine** — the same scenario grid through the exact list
+//!    engine (`run_scenarios_chunked` on a `WorkerPool` of the resolved
+//!    core count, `BATCH_LANES` scenarios per job) and the SoA batch
+//!    engine `run_scenarios_batch` (shared device tables, 8-lane lockstep
+//!    chunks) at the same thread count. The JSON records both medians and
+//!    the batch speedup over exact.
+//! 2. **Scaling** — the exact/batch pair at 8, 32, and 128 scenarios, so
+//!    the batch engine's scaling behaviour (and `batch ≥ exact` at every
+//!    count) is on record.
 //! 3. **Batch kernels** — one slab through `PvLut::power_at_many` /
 //!    `CpuLut::total_power_many` vs the same slab through a scalar
 //!    `power_at` / `total_power` loop: the gather-free sorted-cursor
@@ -25,22 +23,17 @@
 //!
 //! Smoke mode (`HEMS_BENCH_SMOKE=1`): one iteration of the solver and
 //! kernel benches, but a short multi-sample run for the engine series —
-//! `scripts/verify.sh` asserts on the engine speedups, and a single
-//! unwarmed sample is too noisy to compare two identical code paths.
+//! `scripts/verify.sh` asserts on the batch speedups, and a single
+//! unwarmed sample is too noisy to compare two engines.
 //!
-//! Engine methodology: the serial/parallel/batch trio at each scenario
-//! count is sampled *interleaved* (serial → parallel → batch, round-robin
-//! per sample) rather than bench-after-bench. Sequential sampling bakes
-//! clock/thermal drift into whichever entry runs later — on the original
-//! harness the parallel entry measured several percent slower than serial
-//! at the cutover even though both run the same machine code.
-//! Interleaving lands drift on all three paths equally, and the speedups
-//! are paired estimators (median of per-round ratios). When the adaptive
-//! cutover collapses the worker count to one, the recorded parallel
-//! speedup is 1.0 by construction — both entries run the same machine
-//! code — with the measured parity ratio recorded alongside. Speedup
-//! fields are rounded to two decimals — the resolution speedup claims
-//! are made at; the raw measurements keep full precision.
+//! Engine methodology: the exact/batch pair at each scenario count is
+//! sampled *interleaved* (exact → batch, round-robin per sample, starting
+//! case rotating) rather than bench-after-bench. Sequential sampling bakes
+//! clock/thermal drift into whichever entry runs later; interleaving lands
+//! it on both paths equally, and the speedup is a paired estimator (median
+//! of per-round ratios). Speedup fields are rounded to two decimals — the
+//! resolution speedup claims are made at; the raw measurements keep full
+//! precision.
 
 use hems_bench::harness::{fmt_ns, measurement_json, percentile, Harness, Json, Measurement};
 use hems_core::{frontier, mep, operating_point, optimal_voltage, CpuEvalBatch, PvSourceBatch};
@@ -49,14 +42,9 @@ use hems_obs::clock::monotonic_ns;
 use hems_pv::{Irradiance, PvLut, SolarCell};
 use hems_regulator::{BuckRegulator, Ldo, Regulator, ScRegulator};
 use hems_sim::sweep::{self, SweepGrid};
+use hems_sim::WorkerPool;
 use hems_units::{Farads, Hertz, Seconds, Volts};
 use std::hint::black_box;
-
-/// The headline grid both engine paths run: 4 light levels x 2 capacitors
-/// x 2 regulators x 2 policies = 32 scenarios of 40 simulated ms each.
-fn bench_grid() -> SweepGrid {
-    grid_with(4, 2)
-}
 
 /// A grid of `lights x caps x 2 regulators x 2 policies` scenarios of
 /// 40 simulated ms each — the scaling series runs (2,1) → 8, (4,2) → 32,
@@ -257,67 +245,28 @@ fn paired_ratio(a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
-/// One engine scaling point: the serial/parallel/batch trio at one
-/// scenario count (summary statistics plus round-ordered raw samples),
-/// with both speedups derived via the paired estimator.
+/// One engine scaling point: the exact/batch pair at one scenario count
+/// (summary statistics plus round-ordered raw samples), with the batch
+/// speedup derived via the paired estimator.
 struct ScalePoint {
     scenarios: usize,
-    /// Worker count the parallel entry actually resolves to at this
-    /// scenario count, after the adaptive serial cutover.
-    effective_threads: usize,
-    serial: Measurement,
-    parallel: Measurement,
+    exact: Measurement,
     batch: Measurement,
-    serial_raw: Vec<f64>,
-    parallel_raw: Vec<f64>,
+    exact_raw: Vec<f64>,
     batch_raw: Vec<f64>,
 }
 
 impl ScalePoint {
-    /// Parallel-vs-serial. When the cutover collapses the worker count to
-    /// one, the parallel entry dispatches straight into the serial loop —
-    /// the two series time the same machine code, so the true ratio is
-    /// 1.0 *by construction*, and reporting the paired noise ratio would
-    /// randomly report a regression that cannot exist. The measured
-    /// parity ratio is still recorded (`parallel_parity_measured`) so the
-    /// construction is checkable. With two or more workers the measured
-    /// paired ratio is the speedup.
-    fn parallel_speedup(&self) -> f64 {
-        if self.effective_threads == 1 {
-            1.0
-        } else {
-            self.parallel_parity_measured()
-        }
-    }
-
-    /// The raw paired serial/parallel ratio, whatever the thread count.
-    fn parallel_parity_measured(&self) -> f64 {
-        round2(paired_ratio(&self.serial_raw, &self.parallel_raw))
-    }
-
-    /// Batch-vs-serial, paired per round.
+    /// Batch-vs-exact, paired per round.
     fn batch_speedup(&self) -> f64 {
-        round2(paired_ratio(&self.serial_raw, &self.batch_raw))
+        round2(paired_ratio(&self.exact_raw, &self.batch_raw))
     }
 
     fn json(&self) -> Json {
         Json::Obj(vec![
             ("scenarios".into(), Json::Int(self.scenarios as i64)),
-            (
-                "effective_threads".into(),
-                Json::Int(self.effective_threads as i64),
-            ),
-            ("serial".into(), measurement_json(&self.serial)),
-            ("parallel".into(), measurement_json(&self.parallel)),
+            ("exact".into(), measurement_json(&self.exact)),
             ("batch".into(), measurement_json(&self.batch)),
-            (
-                "parallel_speedup".into(),
-                Json::Num(self.parallel_speedup()),
-            ),
-            (
-                "parallel_parity_measured".into(),
-                Json::Num(self.parallel_parity_measured()),
-            ),
             ("batch_speedup".into(), Json::Num(self.batch_speedup())),
         ])
     }
@@ -341,50 +290,55 @@ fn main() {
         if c.is_smoke() { " (smoke mode)" } else { "" }
     );
 
-    // --- 1+2. Sweep engine: serial vs parallel vs batch, at 8/32/128. ---
-    // Each grid expands exactly once (`ExpandedGrid`); the timed region is
-    // pure engine work on a borrowed scenario list.
+    // --- 1+2. Sweep engine: exact vs batch, at 8/32/128. ---
+    // Each grid expands exactly once (`ExpandedGrid`) and the exact
+    // engine's pool is built once; the timed region is pure engine work on
+    // a borrowed scenario list.
+    let pool = WorkerPool::new(cores);
     let mut scaling: Vec<ScalePoint> = Vec::new();
     for (lights, caps) in [(2, 1), (4, 2), (8, 4)] {
         let expanded = grid_with(lights, caps).expanded().expect("grid expands");
         let scenarios = expanded.scenarios();
         let n = scenarios.len();
-        let mut serial_fn = || {
-            black_box(sweep::run_scenarios_serial(scenarios));
-        };
-        let mut parallel_fn = || {
-            black_box(sweep::run_scenarios_parallel(scenarios, cores));
+        let exact = sweep::run_scenarios_chunked(scenarios, &pool, sweep::BATCH_LANES);
+        let batch = sweep::run_scenarios_batch(scenarios, cores);
+        // Spot checks alongside the timing (the sim crate's test suite
+        // owns the full contracts): batch is thread-count deterministic
+        // and within the transient tolerance of the exact reference.
+        assert_eq!(
+            batch,
+            sweep::run_scenarios_batch(scenarios, 1),
+            "batch sweep must be thread-count deterministic"
+        );
+        if let Some(violation) = sweep::batch_tolerance_violation(&exact, &batch) {
+            panic!("batch sweep left the transient tolerance: {violation}");
+        }
+        let mut exact_fn = || {
+            black_box(sweep::run_scenarios_chunked(
+                scenarios,
+                &pool,
+                sweep::BATCH_LANES,
+            ));
         };
         let mut batch_fn = || {
             black_box(sweep::run_scenarios_batch(scenarios, cores));
         };
-        let mut trio = bench_interleaved(
+        let mut pair = bench_interleaved(
             engine_samples,
             &mut [
-                (format!("sweep/engine_serial_{n}"), &mut serial_fn),
-                (format!("sweep/engine_parallel_{n}"), &mut parallel_fn),
+                (format!("sweep/engine_exact_{n}"), &mut exact_fn),
                 (format!("sweep/engine_batch_{n}"), &mut batch_fn),
             ],
         )
         .into_iter();
-        let (Some(serial), Some(parallel), Some(batch)) = (trio.next(), trio.next(), trio.next())
-        else {
-            unreachable!("three cases in, three measurements out");
+        let (Some(exact), Some(batch)) = (pair.next(), pair.next()) else {
+            unreachable!("two cases in, two measurements out");
         };
-        // Mirror of the engine's adaptive cutover: with fewer than
-        // MIN_SCENARIOS_PER_WORKER scenarios per worker the parallel
-        // entry degrades to the serial loop (no threads spawned).
-        let effective = cores
-            .max(1)
-            .min((n / sweep::MIN_SCENARIOS_PER_WORKER).max(1));
         scaling.push(ScalePoint {
             scenarios: n,
-            effective_threads: effective,
-            serial: serial.0,
-            parallel: parallel.0,
+            exact: exact.0,
             batch: batch.0,
-            serial_raw: serial.1,
-            parallel_raw: parallel.1,
+            exact_raw: exact.1,
             batch_raw: batch.1,
         });
     }
@@ -394,23 +348,11 @@ fn main() {
         .expect("the 32-scenario grid is in the scaling series");
     let workers_actual = cores.clamp(1, headline.scenarios);
     println!(
-        "[sweep bench] engine parallel {:.2}x / batch {:.2}x on {} cores ({} scenarios)",
-        headline.parallel_speedup(),
+        "[sweep bench] engine batch {:.2}x over exact on {} cores ({} scenarios)",
         headline.batch_speedup(),
         cores,
         headline.scenarios,
     );
-
-    // Determinism spot checks alongside the timing (the sim crate's test
-    // suite owns the full contracts): parallel is bit-identical to serial;
-    // batch is deterministic across thread counts.
-    let grid = bench_grid();
-    let a = sweep::run_serial(&grid).expect("grid expands");
-    let b = sweep::run_parallel(&grid, cores).expect("grid expands");
-    assert_eq!(a, b, "parallel sweep must be bit-identical to serial");
-    let c1 = sweep::run_batch(&grid, 1).expect("grid expands");
-    let c2 = sweep::run_batch(&grid, cores.max(2)).expect("grid expands");
-    assert_eq!(c1, c2, "batch sweep must be thread-count deterministic");
 
     // --- 3. Batch kernels: one slab vs the same slab element-wise. ---
     // 512 lanes ≈ 64 sweep chunks' worth of gathers; the slab is ascending
@@ -510,7 +452,7 @@ fn main() {
 
     // --- JSON report at the repo root. ---
     let report = Json::Obj(vec![
-        ("schema".into(), Json::Str("hems-bench-sweep/2".into())),
+        ("schema".into(), Json::Str("hems-bench-sweep/3".into())),
         ("smoke".into(), Json::Bool(c.is_smoke())),
         ("threads_resolved".into(), Json::Int(cores as i64)),
         ("workers_actual".into(), Json::Int(workers_actual as i64)),
@@ -528,10 +470,8 @@ fn main() {
         (
             "engine".into(),
             Json::Obj(vec![
-                ("serial".into(), measurement_json(&headline.serial)),
-                ("parallel".into(), measurement_json(&headline.parallel)),
+                ("exact".into(), measurement_json(&headline.exact)),
                 ("batch".into(), measurement_json(&headline.batch)),
-                ("speedup".into(), Json::Num(headline.parallel_speedup())),
                 ("batch_speedup".into(), Json::Num(headline.batch_speedup())),
                 ("batch_lanes".into(), Json::Int(sweep::BATCH_LANES as i64)),
             ]),
@@ -576,7 +516,7 @@ fn main() {
             Json::Arr(
                 scaling
                     .iter()
-                    .flat_map(|p| [&p.serial, &p.parallel, &p.batch])
+                    .flat_map(|p| [&p.exact, &p.batch])
                     .chain(c.results())
                     .map(measurement_json)
                     .collect(),

@@ -44,7 +44,7 @@ pub struct CaseInput {
     pub frames: Vec<String>,
     /// Scripted controller decisions for the physics oracle.
     pub script: Vec<ScriptStep>,
-    /// Worker-thread count for the parallel engines, `≥ 1`.
+    /// Worker-thread count for the multi-threaded engines, `≥ 1`.
     pub threads: usize,
     /// Checkpoint-policy selector for the fleet oracle (mod 3).
     pub policy_index: usize,

@@ -25,7 +25,7 @@ use hems_serve::planner::{self, PlanJob};
 use hems_serve::proto::RegulatorChoice;
 use hems_serve::server::{serve, ServeConfig};
 use hems_serve::{json, QueryKind, Request, ScenarioSpec, Value};
-use hems_sim::sweep::{run_scenarios_batch, run_scenarios_serial};
+use hems_sim::sweep::{run_scenario, run_scenarios_batch};
 use hems_sim::{FixedVoltageController, LightProfile, Simulation, SystemConfig};
 use hems_units::{Seconds, Volts};
 
@@ -232,7 +232,7 @@ fn sweep_fixture(name: &'static str, batch: bool) -> Fixture {
     let results = if batch {
         run_scenarios_batch(&scenarios, 2)
     } else {
-        run_scenarios_serial(&scenarios)
+        scenarios.iter().map(run_scenario).collect()
     };
     let lines = results
         .into_iter()

@@ -1,7 +1,7 @@
 //! Golden-fixture conformance gate and seeded differential fuzz plane.
 //!
 //! Four generations of fast paths — the PvLut/CpuLut device models, the
-//! SoA batch kernels, the serial/parallel/chunked/batch sweep engines,
+//! SoA batch kernels, the chunked and batch sweep engines,
 //! and serve's sharded plan cache — all promise the same thing: *the
 //! answer is the exact solver's answer*. This crate turns that promise
 //! into one enforced plane with three parts:
@@ -14,8 +14,9 @@
 //! 2. **Differential oracles** ([`oracles`]) — seeded generators
 //!    ([`case`]) drive seven oracles that pit independent
 //!    implementations of the same contract against each other: exact vs
-//!    LUT solvers, scalar vs `_many` batch kernels, the four sweep
-//!    engines, single- vs multi-threaded serve responses, torn NDJSON
+//!    LUT solvers, scalar vs `_many` batch kernels, the exact sweep
+//!    reference vs the chunked and batch engines, single- vs
+//!    multi-threaded serve responses, torn NDJSON
 //!    frames, the fleet node machine vs `IntermittentRuntime`, and the
 //!    physics invariants of the transient simulator.
 //! 3. **Shrinking** ([`shrink`]) — any divergence is deterministically

@@ -11,7 +11,7 @@
 //! |-----------------|----------------------------|--------------------------------|----------|
 //! | `solver_lut`    | exact `SolarCell`/`Microprocessor` solvers | `PvLut`/`CpuLut` solvers | ≤ 0.5 % rel, vdd ≤ 30 mV |
 //! | `batch_kernels` | scalar device evaluations  | `_many` slab kernels + `sweep_betas` | bit-identical |
-//! | `sweep_engines` | serial sweep               | parallel / chunked / batch engines | bit-identical (batch: transient tolerance vs serial) |
+//! | `sweep_engines` | exact `run_scenario`       | chunked / batch engines        | bit-identical (batch: transient tolerance, DESIGN §13) |
 //! | `serve_threads` | 1-thread serve             | 4-thread serve                 | byte-identical results |
 //! | `serve_sharded` | bare serve                 | router over 1 / 3 shard(s)     | byte-identical results |
 //! | `json_frames`   | codec on torn frames       | itself (round-trip)            | no panic; render idempotent |
@@ -35,7 +35,7 @@ use hems_serve::planner::{self, PlanJob};
 use hems_serve::server::{serve, ServeConfig, ServerHandle};
 use hems_serve::{json, Client, ClientError, QueryKind, Request, RetryPolicy, ScenarioSpec};
 use hems_sim::sweep::{
-    run_scenarios_batch, run_scenarios_chunked, run_scenarios_parallel, run_scenarios_serial,
+    batch_tolerance_violation, run_scenario, run_scenarios_batch, run_scenarios_chunked,
 };
 use hems_sim::{
     ControlDecision, Controller, FixedVoltageController, LightProfile, PowerPath, Simulation,
@@ -64,7 +64,7 @@ pub enum OracleKind {
     SolverLut,
     /// Scalar device evaluations vs `_many` batch kernels.
     BatchKernels,
-    /// Serial vs parallel vs chunked vs batch sweep engines.
+    /// Exact per-scenario reference vs the chunked and batch sweep engines.
     SweepEngines,
     /// Single- vs multi-threaded serve answers, byte for byte.
     ServeThreads,
@@ -716,7 +716,7 @@ fn cpu_bits_diff(
 }
 
 // ---------------------------------------------------------------------
-// Oracle 3: the four sweep engines
+// Oracle 3: the sweep engines against the exact reference
 // ---------------------------------------------------------------------
 
 fn sweep_engines(input: &CaseInput, pool: &WorkerPool) -> Option<Divergence> {
@@ -732,15 +732,11 @@ fn sweep_engines(input: &CaseInput, pool: &WorkerPool) -> Option<Divergence> {
         return None;
     }
 
-    let serial = run_scenarios_serial(&scenarios);
-    let parallel = run_scenarios_parallel(&scenarios, input.threads);
-    if parallel != serial {
-        return diverged(kind, first_result_diff("parallel", &serial, &parallel));
-    }
+    let exact: Vec<_> = scenarios.iter().map(run_scenario).collect();
     let lanes = 1 + input.grid_n % 8;
     let chunked = run_scenarios_chunked(&scenarios, pool, lanes);
-    if chunked != serial {
-        return diverged(kind, first_result_diff("chunked", &serial, &chunked));
+    if chunked != exact {
+        return diverged(kind, first_result_diff("chunked", &exact, &chunked));
     }
     let batch_one = run_scenarios_batch(&scenarios, 1);
     let batch_many = run_scenarios_batch(&scenarios, input.threads);
@@ -750,69 +746,7 @@ fn sweep_engines(input: &CaseInput, pool: &WorkerPool) -> Option<Divergence> {
             first_result_diff("batch(threads)", &batch_one, &batch_many),
         );
     }
-
-    // Batch vs serial: the LUT-backed lockstep transient tracks the
-    // exact sweep within the documented transient tolerance.
-    for (e, b) in serial.iter().zip(batch_one.iter()) {
-        match (&e.summary, &b.summary) {
-            (Ok(es), Ok(bs)) => {
-                let rel = |a: f64, r: f64| (a - r).abs() / r.abs().max(1e-9);
-                if rel(bs.ledger.harvested.joules(), es.ledger.harvested.joules()) > 2e-2 {
-                    return diverged(
-                        kind,
-                        format!(
-                            "{}: batch harvested {} vs serial {}",
-                            e.label, bs.ledger.harvested, es.ledger.harvested
-                        ),
-                    );
-                }
-                if rel(
-                    bs.ledger.delivered_to_cpu.joules(),
-                    es.ledger.delivered_to_cpu.joules(),
-                ) > 2e-2
-                {
-                    return diverged(
-                        kind,
-                        format!(
-                            "{}: batch delivered {} vs serial {}",
-                            e.label, bs.ledger.delivered_to_cpu, es.ledger.delivered_to_cpu
-                        ),
-                    );
-                }
-                if (bs.final_v_solar - es.final_v_solar).abs() > Volts::from_milli(10.0) {
-                    return diverged(
-                        kind,
-                        format!(
-                            "{}: batch final_v {} vs serial {}",
-                            e.label, bs.final_v_solar, es.final_v_solar
-                        ),
-                    );
-                }
-                if (bs.brownouts as i64 - es.brownouts as i64).abs() > 1 {
-                    return diverged(
-                        kind,
-                        format!(
-                            "{}: batch brownouts {} vs serial {}",
-                            e.label, bs.brownouts, es.brownouts
-                        ),
-                    );
-                }
-            }
-            (Err(_), Err(_)) => {}
-            (a, b) => {
-                return diverged(
-                    kind,
-                    format!(
-                        "{}: batch feasibility {} vs serial {}",
-                        e.label,
-                        verdict(b),
-                        verdict(a)
-                    ),
-                );
-            }
-        }
-    }
-    None
+    batch_tolerance_violation(&exact, &batch_one).and_then(|detail| diverged(kind, detail))
 }
 
 fn first_result_diff(

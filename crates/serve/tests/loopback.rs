@@ -244,26 +244,45 @@ fn metrics_query_returns_the_merged_telemetry_snapshot() {
     .expect("bind");
     let (mut stream, mut reader) = connect(handle.addr());
 
-    // A mixed workload first: a sweep (drives the sweep/pool series on the
-    // global registry), a plan miss, and the same plan again for a cache
-    // hit (drives the serve.* series on the server's registry).
-    let mut sweep_spec = ScenarioSpec::baseline(0.8);
-    sweep_spec.duration = 0.005;
-    let plan_spec = ScenarioSpec::baseline(0.6);
-    let lines = [
-        Request::render_line(1, QueryKind::SweepSummary, Some(&sweep_spec)),
-        Request::render_line(2, QueryKind::Mep, Some(&plan_spec)),
-        Request::render_line(3, QueryKind::Mep, Some(&plan_spec)),
-    ];
-    for line in &lines {
-        stream
-            .write_all(format!("{line}\n").as_bytes())
-            .expect("write");
-        let response = read_response(&mut reader);
+    // A mixed workload first: every plan kind once (a cache miss that
+    // drives the solver, sweep and pool series on the global registry),
+    // then again (a hit on the server's registry) with the identical
+    // result bytes.
+    for (i, kind) in KINDS.into_iter().enumerate() {
+        let mut spec = ScenarioSpec::baseline(0.6);
+        spec.duration = 0.005;
+        if kind == QueryKind::Sprint {
+            spec.deadline = Some(0.02);
+        }
+        let line = Request::render_line(i as i64, kind, Some(&spec));
+        let mut results = Vec::new();
+        for want_cached in [false, true] {
+            stream
+                .write_all(format!("{line}\n").as_bytes())
+                .expect("write");
+            let mut raw = String::new();
+            reader.read_line(&mut raw).expect("read response");
+            let response = parse(&raw).expect("response is JSON");
+            assert_eq!(
+                response.get("status").and_then(Value::as_str),
+                Some("ok"),
+                "{kind:?} request failed: {raw}"
+            );
+            assert_eq!(
+                response.get("cached").and_then(Value::as_bool),
+                Some(want_cached),
+                "{kind:?}: a first request misses, its repeat hits: {raw}"
+            );
+            // The result is the last field of an ok line; keep its raw
+            // bytes so the hit is compared byte for byte, not re-rendered.
+            let (_, result) = raw
+                .split_once(",\"result\":")
+                .expect("ok line carries a result");
+            results.push(result.to_string());
+        }
         assert_eq!(
-            response.get("status").and_then(Value::as_str),
-            Some("ok"),
-            "workload request failed: {response:?}"
+            results[0], results[1],
+            "{kind:?}: cached result bytes differ"
         );
     }
 
@@ -295,20 +314,24 @@ fn metrics_query_returns_the_merged_telemetry_snapshot() {
     // Sweep series (global registry, driven by sweep_summary).
     assert!(counter("sweep.scenarios") >= 1.0, "sweep ran");
     // Pool series (global registry, driven by the batcher's fan-out).
-    assert!(counter("pool.jobs") >= 2.0, "pool executed the misses");
-    // Cache series (per-server registry).
-    assert!(counter("serve.cache.hits") >= 1.0, "repeat plan hit");
-    assert!(counter("serve.cache.misses") >= 2.0, "first queries missed");
+    assert!(counter("pool.jobs") >= 5.0, "pool executed the misses");
+    // Cache series (per-server registry): one miss and one hit per kind.
+    assert_eq!(counter("serve.cache.hits"), 5.0, "every repeat hit");
+    assert_eq!(
+        counter("serve.cache.misses"),
+        5.0,
+        "every first query missed"
+    );
     // Admission + service series (per-server registry).
     assert_eq!(counter("serve.overloaded"), 0.0, "nothing refused");
-    assert!(counter("serve.requests") >= 4.0, "all requests counted");
+    assert!(counter("serve.requests") >= 11.0, "all requests counted");
     let latency = series.get("serve.latency_ns").expect("latency histogram");
     assert_eq!(
         latency.get("kind").and_then(Value::as_str),
         Some("histogram")
     );
     assert!(
-        latency.get("count").and_then(Value::as_f64).unwrap() >= 3.0,
+        latency.get("count").and_then(Value::as_f64).unwrap() >= 10.0,
         "latency recorded per answered request"
     );
     handle.shutdown();

@@ -1,12 +1,12 @@
 //! A reusable worker pool for batched jobs.
 //!
-//! The sweep engine's scoped-thread fan-out ([`crate::sweep::run_parallel`])
-//! spawns and joins its workers once per call — the right shape for a
-//! one-shot figure sweep, the wrong one for a long-lived service that
-//! submits many small batches: per-batch thread spawn/join costs and
-//! destroys any hope of keeping the workers cache-warm. [`WorkerPool`]
-//! keeps a fixed set of named threads alive behind a shared injector queue
-//! and executes *batches* of jobs against them:
+//! A long-lived service that submits many small batches cannot afford to
+//! spawn and join threads per batch: the spawn cost dominates small
+//! batches and destroys any hope of keeping the workers cache-warm.
+//! [`WorkerPool`] keeps a fixed set of named threads alive behind a shared
+//! injector queue and executes *batches* of jobs against them. The sweep's
+//! exact list engine ([`crate::sweep::run_scenarios_chunked`]), the batch
+//! engine's multi-thread dispatch and the serve batcher all run on it.
 //!
 //! * [`WorkerPool::run_jobs`] — the generic batch entry: any `FnOnce() -> T`
 //!   jobs, results returned **in submission order** (scatter-by-index, the
@@ -14,8 +14,6 @@
 //! * [`WorkerPool::run_jobs_result`] — the fault-isolating variant: a job
 //!   that panics yields an `Err` in its own slot instead of taking the
 //!   batch (or the service above it) down.
-//! * [`WorkerPool::run_scenarios`] — the sweep-shaped convenience wrapper:
-//!   a scenario batch in, bit-identical-to-serial results out.
 //!
 //! The pool is deliberately simple: one `Mutex<VecDeque>` injector plus a
 //! condvar. Sweep scenarios and planner queries run for micro- to
@@ -37,7 +35,6 @@
 //! caller does not steal work. Do not call `run_jobs` from inside a pool
 //! job — with every worker waiting on the inner batch the pool deadlocks.
 
-use crate::sweep::{run_scenario, Scenario, ScenarioResult};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -314,18 +311,6 @@ impl WorkerPool {
             })
             .collect()
     }
-
-    /// Runs a scenario batch on the pool; results come back in batch order,
-    /// bit-identical to [`crate::sweep::run_scenarios_serial`] on the same
-    /// list (each scenario owns its state and the scatter is by index).
-    pub fn run_scenarios(&self, scenarios: Vec<Scenario>) -> Vec<ScenarioResult> {
-        self.run_jobs(
-            scenarios
-                .into_iter()
-                .map(|s| move || run_scenario(&s))
-                .collect(),
-        )
-    }
 }
 
 impl Drop for WorkerPool {
@@ -381,14 +366,14 @@ mod tests {
     }
 
     #[test]
-    fn scenario_batches_match_the_serial_sweep() {
+    fn one_scenario_per_job_matches_the_exact_sweep() {
         let mut grid = SweepGrid::paper_baseline().unwrap();
         grid.irradiances = vec![Irradiance::FULL_SUN, Irradiance::QUARTER_SUN];
         grid.duration = Seconds::from_milli(10.0);
         let scenarios = grid.scenarios().unwrap();
-        let serial = sweep::run_scenarios_serial(&scenarios);
+        let exact: Vec<_> = scenarios.iter().map(sweep::run_scenario).collect();
         let pool = WorkerPool::new(4);
-        assert_eq!(serial, pool.run_scenarios(scenarios));
+        assert_eq!(exact, sweep::run_scenarios_chunked(&scenarios, &pool, 1));
     }
 
     #[test]

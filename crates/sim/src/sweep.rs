@@ -1,29 +1,25 @@
-//! Parallel scenario-sweep engine.
+//! Scenario-sweep engine.
 //!
 //! Figure regeneration and design-space exploration both reduce to the
 //! same shape of work: take the paper's system, vary a few axes
 //! (light level × storage capacitance × regulator topology × control
 //! policy), run the transient integrator for each combination, and keep a
-//! compact per-scenario summary. Scenarios are completely independent, so
-//! the sweep is embarrassingly parallel — this module fans them across a
-//! hand-rolled scoped-thread worker pool with **no new dependencies** and
-//! a hard determinism guarantee:
+//! compact per-scenario summary. Scenarios are completely independent —
+//! each owns its config, controller and light profile, and the integrator
+//! is deterministic and shares nothing — so a sweep needs only an exact
+//! path and a fast one:
 //!
-//! > [`run_parallel`] returns *bit-identical* results to [`run_serial`],
-//! > in the same order, for any thread count.
-//!
-//! That holds because each scenario owns its entire state (config,
-//! controller, light profile — the integrator is deterministic and shares
-//! nothing), workers tag every result with its scenario index, and the
-//! merge step places results by index rather than by completion order.
-//! The `determinism` test in this module enforces it.
-//!
-//! Work is distributed by an atomic cursor over fixed-size chunks rather
-//! than pre-partitioned ranges, so a worker that draws short scenarios
-//! (e.g. dark cells that brown out instantly) keeps pulling work instead
-//! of idling. Requests smaller than the spawn cost can amortize degrade
-//! to the serial path (see [`MIN_SCENARIOS_PER_WORKER`]), so parallel
-//! entry points never run slower than serial at small scenario counts.
+//! * [`run_scenario`] — the **exact reference**: one scenario on the
+//!   calling thread through the exact device models. Every other path is
+//!   measured against it.
+//! * [`run_scenarios_chunked`] — the **exact list engine**: a scenario
+//!   list fanned across a caller-owned [`WorkerPool`] in chunks, returned
+//!   in list order and bit-identical to mapping [`run_scenario`] over the
+//!   list, for any pool size and chunk width.
+//! * [`run_batch`] / [`run_scenarios_batch`] — the **fast path**: table
+//!   driven device models stepped in lockstep, within a documented
+//!   transient tolerance of the exact reference
+//!   ([`batch_tolerance_violation`]).
 //!
 //! # The batch engine
 //!
@@ -35,12 +31,13 @@
 //! gathered into one cache-line-sized slab and evaluated through a single
 //! [`PvLut::power_at_many`] call per step (structure-of-arrays across
 //! lanes). Results carry the LUT-parity contract (device quantities within
-//! ≤ 0.1 % per step) rather than bitwise equality with [`run_serial`], but
-//! are bitwise deterministic for any thread count because the batch
+//! ≤ 0.1 % per step) rather than bitwise equality with [`run_scenario`],
+//! but are bitwise deterministic for any thread count because the batch
 //! kernels are lane-for-lane bit-identical to their scalar forms — a
 //! lane's arithmetic cannot depend on which lanes share its slab. Groups
 //! whose tables cannot be built (a dark cell has no power table) fall back
-//! to the exact scalar path, result-for-result identical to [`run_serial`].
+//! to the exact scalar path, result-for-result identical to
+//! [`run_scenario`].
 //!
 //! ```no_run
 //! use hems_sim::{sweep, SystemConfig};
@@ -50,7 +47,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut grid = sweep::SweepGrid::paper_baseline()?;
 //! grid.irradiances = vec![Irradiance::FULL_SUN, Irradiance::HALF_SUN];
-//! let results = sweep::run_parallel(&grid, sweep::default_threads())?;
+//! let results = sweep::run_batch(&grid, sweep::default_threads())?;
 //! for r in &results {
 //!     println!("{}: {:?}", r.label, r.summary.as_ref().map(|s| s.completed_jobs));
 //! }
@@ -67,7 +64,6 @@ use hems_pv::{Irradiance, PvLut};
 use hems_regulator::{AnyRegulator, Regulator, RegulatorKind};
 use hems_storage::Capacitor;
 use hems_units::{Farads, Seconds, Volts, Watts};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::LazyLock;
 
 /// Standing telemetry handles on the process-global registry (DESIGN.md
@@ -77,7 +73,7 @@ mod obs {
     use super::LazyLock;
     use hems_obs::{global, Counter};
 
-    /// Scenarios executed (any entry point, serial or parallel).
+    /// Scenarios executed (any entry point, exact or batch).
     pub(super) static SCENARIOS: LazyLock<Counter> =
         LazyLock::new(|| global().counter("sweep.scenarios"));
     /// Scenarios whose summary came back as an error.
@@ -347,7 +343,8 @@ pub struct ScenarioResult {
     pub summary: Result<SimulationSummary, String>,
 }
 
-/// Runs one scenario to completion on the current thread.
+/// The exact reference: runs one scenario to completion on the current
+/// thread through the exact device models.
 pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
     let _span = hems_obs::span!("sweep.scenario_ns");
     obs::SCENARIOS.inc();
@@ -374,142 +371,14 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
     }
 }
 
-/// Runs the whole grid on the calling thread, in grid order — the
-/// reference the parallel path is measured (and tested) against.
-///
-/// # Errors
-///
-/// Propagates grid-expansion failures; individual scenario failures are
-/// embedded in their [`ScenarioResult`].
-pub fn run_serial(grid: &SweepGrid) -> Result<Vec<ScenarioResult>, SimError> {
-    Ok(grid.scenarios()?.iter().map(run_scenario).collect())
-}
-
-/// Runs the grid across `threads` scoped worker threads.
-///
-/// # Errors
-///
-/// Propagates grid-expansion failures.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (a scenario's integrator paniced —
-/// a bug, not a data condition).
-pub fn run_parallel(grid: &SweepGrid, threads: usize) -> Result<Vec<ScenarioResult>, SimError> {
-    let scenarios = {
-        let _span = hems_obs::span!("sweep.expand_ns");
-        grid.scenarios()?
-    };
-    Ok(run_scenarios_parallel(&scenarios, threads))
-}
-
-/// Runs an explicit scenario list on the calling thread, in list order.
-///
-/// The batch-entry twin of [`run_serial`] for callers (the sweep service,
-/// custom planners) that assemble scenarios themselves instead of
-/// expanding a [`SweepGrid`].
-pub fn run_scenarios_serial(scenarios: &[Scenario]) -> Vec<ScenarioResult> {
-    scenarios.iter().map(run_scenario).collect()
-}
-
-/// Runs an explicit scenario list across `threads` scoped worker threads —
-/// the batch-entry API behind [`run_parallel`].
-///
-/// Workers pull fixed-size chunks of scenario indices from a shared atomic
-/// cursor (work stealing without a queue structure: the cursor *is* the
-/// queue), buffer `(position, result)` pairs locally, and the merge step
-/// scatters them into the output by position — so the returned `Vec` is
-/// bit-identical to [`run_scenarios_serial`]'s for any `threads ≥ 1`,
-/// including empty lists, single scenarios, and thread counts larger than
-/// the list.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (a scenario's integrator paniced —
-/// a bug, not a data condition).
-pub fn run_scenarios_parallel(scenarios: &[Scenario], threads: usize) -> Vec<ScenarioResult> {
-    let n = scenarios.len();
-    let threads = effective_threads(threads, n);
-    if threads == 1 {
-        return run_scenarios_serial(scenarios);
-    }
-    // ~4 chunks per worker balances steal granularity against contention.
-    let chunk = (n / (threads * 4)).max(1);
-    let cursor = AtomicUsize::new(0);
-    let run_span = hems_obs::span!("sweep.run_ns");
-    let buffers: Vec<Vec<(usize, ScenarioResult)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        for (offset, scenario) in
-                            scenarios[start..(start + chunk).min(n)].iter().enumerate()
-                        {
-                            local.push((start + offset, run_scenario(scenario)));
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                // Re-raise a worker's panic on the caller with its own
-                // payload (a scenario integrator bug, not a data condition).
-                h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
-            })
-            .collect()
-    });
-    run_span.finish();
-    let _merge_span = hems_obs::span!("sweep.merge_ns");
-    let mut slots: Vec<Option<ScenarioResult>> = vec![None; n];
-    for (position, result) in buffers.into_iter().flatten() {
-        if let Some(slot) = slots.get_mut(position) {
-            debug_assert!(slot.is_none(), "scenario {position} ran twice");
-            *slot = Some(result);
-        }
-    }
-    // Every position 0..n was claimed exactly once by the atomic cursor,
-    // so flatten drops nothing; the length check guards the invariant.
-    let results: Vec<ScenarioResult> = slots.into_iter().flatten().collect();
-    debug_assert_eq!(
-        results.len(),
-        n,
-        "every scenario position produced a result"
-    );
-    results
-}
-
-/// Scenarios per worker below which spawning another scoped thread costs
-/// more than it recovers: spawn-plus-join of one worker measures in the
-/// tens of microseconds on the bench host while even the shortest grid
-/// scenarios integrate hundreds of timesteps (~0.5 ms), so a worker must
-/// amortize its spawn over at least this many scenarios to come out ahead.
-pub const MIN_SCENARIOS_PER_WORKER: usize = 2;
-
-/// The adaptive serial cutover: clamps a requested worker count so every
-/// worker has at least [`MIN_SCENARIOS_PER_WORKER`] scenarios, degrading
-/// to 1 — the serial path, no threads spawned — when the list is too
-/// small to split profitably. This keeps the parallel entry points from
-/// ever running slower than serial at small scenario counts.
-fn effective_threads(requested: usize, n: usize) -> usize {
-    requested.max(1).min((n / MIN_SCENARIOS_PER_WORKER).max(1))
-}
-
-/// Runs an explicit scenario list through a caller-owned [`WorkerPool`],
-/// handing each worker a whole chunk of up to `lanes` scenarios per job
-/// instead of one scenario per job — the per-job queue round-trip is paid
-/// once per chunk. Scenarios run through the *exact* device models, so the
-/// result is bit-identical to [`run_scenarios_serial`] for any pool size
-/// and any `lanes ≥ 1` (`0` is treated as `1`); jobs return in submission
-/// order, which is chunk order, which is list order.
+/// The exact list engine: runs an explicit scenario list through a
+/// caller-owned [`WorkerPool`], handing each worker a whole chunk of up to
+/// `lanes` scenarios per job instead of one scenario per job — the per-job
+/// queue round-trip is paid once per chunk. Scenarios run through
+/// [`run_scenario`], so the result is bit-identical to mapping it over the
+/// list for any pool size and any `lanes ≥ 1` (`0` is treated as `1`);
+/// jobs return in submission order, which is chunk order, which is list
+/// order.
 pub fn run_scenarios_chunked(
     scenarios: &[Scenario],
     pool: &WorkerPool,
@@ -530,6 +399,22 @@ pub fn run_scenarios_chunked(
 /// chunk's gathered voltage slab and its power slab each live on a single
 /// line through the per-step gather → batch-evaluate → scatter loop.
 pub const BATCH_LANES: usize = 8;
+
+/// Scenarios per worker below which spawning another batch worker costs
+/// more than it recovers: spawn-plus-join of one worker measures in the
+/// tens of microseconds on the bench host while even the shortest grid
+/// scenarios integrate hundreds of timesteps (~0.5 ms), so a worker must
+/// amortize its spawn over at least this many scenarios to come out ahead.
+pub const MIN_SCENARIOS_PER_WORKER: usize = 2;
+
+/// The batch engine's adaptive cutover: clamps a requested worker count
+/// so every worker has at least [`MIN_SCENARIOS_PER_WORKER`] scenarios,
+/// degrading to 1 — chunks run inline, no pool spawned — when the list is
+/// too small to split profitably. This keeps a multi-thread batch request
+/// from ever running slower than the inline batch at small scenario counts.
+fn effective_threads(requested: usize, n: usize) -> usize {
+    requested.max(1).min((n / MIN_SCENARIOS_PER_WORKER).max(1))
+}
 
 /// Expands the grid and runs it through the SoA batch engine — the
 /// grid-level twin of [`run_scenarios_batch`].
@@ -554,10 +439,11 @@ pub fn run_batch(grid: &SweepGrid, threads: usize) -> Result<Vec<ScenarioResult>
 /// results by list position, so the output is bitwise identical for any
 /// thread count.
 ///
-/// Results track [`run_scenarios_serial`] under the LUT-parity contract
-/// (≤ 0.1 % per-step device error) rather than bitwise; groups whose
-/// tables cannot be built (e.g. dark cells) fall back to the exact scalar
-/// path and *are* bitwise identical to serial.
+/// Results track [`run_scenario`] under the LUT-parity contract (≤ 0.1 %
+/// per-step device error) rather than bitwise, within the transient
+/// tolerance [`batch_tolerance_violation`] checks; groups whose tables
+/// cannot be built (e.g. dark cells) fall back to the exact scalar path
+/// and *are* bitwise identical to it.
 pub fn run_scenarios_batch(scenarios: &[Scenario], threads: usize) -> Vec<ScenarioResult> {
     let n = scenarios.len();
     if n == 0 {
@@ -760,6 +646,100 @@ fn run_lut_chunk(
     out
 }
 
+/// Checks a batch sweep against the exact reference over the same list
+/// and returns the first violation of the batch engine's transient
+/// tolerance, or `None` when every result is within it.
+///
+/// The per-step LUT error (≤ 0.1 %) integrates over a run but must not
+/// change the transient's shape, so per scenario, when both summaries are
+/// `Ok`:
+///
+/// | Quantity                  | Bound                                     |
+/// |---------------------------|-------------------------------------------|
+/// | `ledger.harvested`        | within 2 % of exact (floor 1 nJ)          |
+/// | `ledger.delivered_to_cpu` | within 2 % of exact (floor 1 nJ)          |
+/// | `final_v_solar`           | within 10 mV of exact                     |
+/// | `brownouts`               | within ±1 of exact                        |
+///
+/// The relative bounds divide by `max(|exact|, 1 nJ)`, so a near-zero
+/// exact ledger is held to an absolute 20 pJ instead. Both sides must
+/// agree on feasibility (two errors pass without comparing their text),
+/// and the lists must match in length, index and label position by
+/// position.
+pub fn batch_tolerance_violation(
+    exact: &[ScenarioResult],
+    batch: &[ScenarioResult],
+) -> Option<String> {
+    const LEDGER_REL: f64 = 2e-2;
+    const LEDGER_FLOOR_J: f64 = 1e-9;
+    const FINAL_V_MV: f64 = 10.0;
+    const BROWNOUT_SLACK: i64 = 1;
+    if exact.len() != batch.len() {
+        return Some(format!(
+            "batch returned {} results, exact {}",
+            batch.len(),
+            exact.len()
+        ));
+    }
+    let rel = |b: f64, e: f64| (b - e).abs() / e.abs().max(LEDGER_FLOOR_J);
+    let verdict = |r: &Result<SimulationSummary, String>| {
+        if r.is_ok() {
+            "feasible"
+        } else {
+            "infeasible"
+        }
+    };
+    for (e, b) in exact.iter().zip(batch) {
+        let label = &e.label;
+        if (e.index, label) != (b.index, &b.label) {
+            return Some(format!(
+                "batch result {} '{}' sits where exact has {} '{label}'",
+                b.index, b.label, e.index
+            ));
+        }
+        let (es, bs) = match (&e.summary, &b.summary) {
+            (Ok(es), Ok(bs)) => (es, bs),
+            (Err(_), Err(_)) => continue,
+            (es, bs) => {
+                return Some(format!(
+                    "{label}: batch feasibility {} vs exact {}",
+                    verdict(bs),
+                    verdict(es)
+                ))
+            }
+        };
+        if rel(bs.ledger.harvested.joules(), es.ledger.harvested.joules()) > LEDGER_REL {
+            return Some(format!(
+                "{label}: batch harvested {} vs exact {}",
+                bs.ledger.harvested, es.ledger.harvested
+            ));
+        }
+        if rel(
+            bs.ledger.delivered_to_cpu.joules(),
+            es.ledger.delivered_to_cpu.joules(),
+        ) > LEDGER_REL
+        {
+            return Some(format!(
+                "{label}: batch delivered {} vs exact {}",
+                bs.ledger.delivered_to_cpu, es.ledger.delivered_to_cpu
+            ));
+        }
+        if (bs.final_v_solar - es.final_v_solar).abs() > Volts::from_milli(FINAL_V_MV) {
+            return Some(format!(
+                "{label}: batch final_v {} vs exact {}",
+                bs.final_v_solar, es.final_v_solar
+            ));
+        }
+        if (bs.brownouts as i64 - es.brownouts as i64).abs() > BROWNOUT_SLACK {
+            return Some(format!(
+                "{label}: batch brownouts {} vs exact {}",
+                bs.brownouts, es.brownouts
+            ));
+        }
+    }
+    None
+}
+
 /// Environment variable overriding the worker-thread count used when no
 /// explicit count is supplied ([`default_threads`], `threads = None` in
 /// [`resolved_threads`]). Non-numeric or zero values are ignored.
@@ -772,7 +752,7 @@ pub fn resolved_threads(explicit: Option<usize>) -> usize {
     if let Some(n) = explicit {
         return n.max(1);
     }
-    // hems-lint: allow(taint, reason = "worker-thread count cannot alter report bytes: the serial/parallel sweep parity contract is differential-tested")
+    // hems-lint: allow(taint, reason = "worker-thread count cannot alter report bytes: chunked-vs-exact parity and batch thread-count determinism are differential-tested")
     if let Some(n) = std::env::var(THREADS_ENV)
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
@@ -804,6 +784,11 @@ mod tests {
         grid
     }
 
+    /// The exact reference over a whole grid, in grid order.
+    fn exact(grid: &SweepGrid) -> Vec<ScenarioResult> {
+        grid.scenarios().unwrap().iter().map(run_scenario).collect()
+    }
+
     #[test]
     fn grid_expansion_is_row_major_and_sized() {
         let grid = small_grid();
@@ -824,8 +809,8 @@ mod tests {
     }
 
     #[test]
-    fn serial_sweep_produces_plausible_summaries() {
-        let results = run_serial(&small_grid()).unwrap();
+    fn exact_sweep_produces_plausible_summaries() {
+        let results = exact(&small_grid());
         assert_eq!(results.len(), 8);
         for r in &results {
             let summary = r.summary.as_ref().expect("baseline grid is feasible");
@@ -839,13 +824,46 @@ mod tests {
     }
 
     #[test]
-    fn determinism_parallel_matches_serial_bitwise() {
-        let grid = small_grid();
-        let serial = run_serial(&grid).unwrap();
-        for threads in [1, 2, 3, 8] {
-            let parallel = run_parallel(&grid, threads).unwrap();
-            assert_eq!(serial, parallel, "thread count {threads}");
+    fn chunked_is_bit_identical_to_exact_for_any_pool_and_lane_width() {
+        let scenarios = small_grid().scenarios().unwrap();
+        let reference: Vec<_> = scenarios.iter().map(run_scenario).collect();
+        for threads in [1, 3] {
+            let pool = WorkerPool::new(threads);
+            for lanes in [0, 1, 3, 8, 64] {
+                assert_eq!(
+                    reference,
+                    run_scenarios_chunked(&scenarios, &pool, lanes),
+                    "threads {threads}, lanes {lanes}"
+                );
+            }
+            assert_eq!(
+                reference[..1],
+                run_scenarios_chunked(&scenarios[..1], &pool, 8)[..],
+                "single scenario, threads {threads}"
+            );
+            assert!(run_scenarios_chunked(&[], &pool, 8).is_empty());
         }
+    }
+
+    #[test]
+    fn infeasible_scenarios_carry_errors_not_aborts() {
+        let mut grid = small_grid();
+        // Initial voltage above the capacitor rating: Simulation::new fails.
+        grid.v_initial = Volts::new(5.0);
+        let results = exact(&grid);
+        assert!(results.iter().all(|r| r.summary.is_err()));
+        // And the chunked engine reports the identical errors.
+        let scenarios = grid.scenarios().unwrap();
+        let pool = WorkerPool::new(2);
+        assert_eq!(results, run_scenarios_chunked(&scenarios, &pool, 3));
+    }
+
+    #[test]
+    fn empty_axis_yields_empty_sweep() {
+        let mut grid = small_grid();
+        grid.policies.clear();
+        assert!(grid.is_empty());
+        assert!(run_batch(&grid, 4).unwrap().is_empty());
     }
 
     #[test]
@@ -854,57 +872,8 @@ mod tests {
         grid.irradiances.truncate(1);
         grid.policies.truncate(1);
         grid.regulators.truncate(1); // 1 scenario
-        let results = run_parallel(&grid, 64).unwrap();
+        let results = run_batch(&grid, 64).unwrap();
         assert_eq!(results.len(), 1);
-    }
-
-    #[test]
-    fn infeasible_scenarios_carry_errors_not_aborts() {
-        let mut grid = small_grid();
-        // Initial voltage above the capacitor rating: Simulation::new fails.
-        grid.v_initial = Volts::new(5.0);
-        let results = run_serial(&grid).unwrap();
-        assert!(results.iter().all(|r| r.summary.is_err()));
-        // And the parallel path reports the identical errors.
-        assert_eq!(results, run_parallel(&grid, 4).unwrap());
-    }
-
-    #[test]
-    fn empty_axis_yields_empty_sweep() {
-        let mut grid = small_grid();
-        grid.policies.clear();
-        assert!(grid.is_empty());
-        assert!(run_parallel(&grid, 4).unwrap().is_empty());
-    }
-
-    #[test]
-    fn batch_entry_empty_list_returns_empty() {
-        assert!(run_scenarios_serial(&[]).is_empty());
-        for threads in [1, 4, 64] {
-            assert!(run_scenarios_parallel(&[], threads).is_empty());
-        }
-    }
-
-    #[test]
-    fn batch_entry_single_scenario_matches_serial() {
-        let scenarios = small_grid().scenarios().unwrap();
-        let one = &scenarios[..1];
-        let serial = run_scenarios_serial(one);
-        assert_eq!(serial.len(), 1);
-        for threads in [1, 2, 64] {
-            assert_eq!(serial, run_scenarios_parallel(one, threads));
-        }
-    }
-
-    #[test]
-    fn batch_entry_more_threads_than_scenarios_is_bit_identical() {
-        let scenarios = small_grid().scenarios().unwrap();
-        let serial = run_scenarios_serial(&scenarios);
-        // 8 scenarios, up to 64 requested workers: the clamp plus the
-        // scatter-by-position merge must keep results bit-identical.
-        for threads in [scenarios.len() + 1, 4 * scenarios.len(), 64] {
-            assert_eq!(serial, run_scenarios_parallel(&scenarios, threads));
-        }
     }
 
     #[test]
@@ -923,7 +892,7 @@ mod tests {
     }
 
     #[test]
-    fn serial_cutover_engages_below_the_amortization_floor() {
+    fn batch_cutover_engages_below_the_amortization_floor() {
         assert_eq!(effective_threads(8, 0), 1);
         assert_eq!(effective_threads(8, 1), 1);
         assert_eq!(
@@ -945,20 +914,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_is_bit_identical_to_serial_for_any_lane_width() {
-        let scenarios = small_grid().scenarios().unwrap();
-        let serial = run_scenarios_serial(&scenarios);
-        let pool = WorkerPool::new(2);
-        for lanes in [0, 1, 3, 8, 64] {
-            assert_eq!(
-                serial,
-                run_scenarios_chunked(&scenarios, &pool, lanes),
-                "lanes {lanes}"
-            );
-        }
-    }
-
-    #[test]
     fn batch_is_bitwise_deterministic_across_thread_counts() {
         let grid = small_grid();
         let one = run_batch(&grid, 1).unwrap();
@@ -972,61 +927,49 @@ mod tests {
     #[test]
     fn batch_tracks_the_exact_sweep_within_transient_tolerance() {
         let grid = small_grid();
-        let exact = run_serial(&grid).unwrap();
+        let reference = exact(&grid);
         let batch = run_batch(&grid, 1).unwrap();
-        assert_eq!(exact.len(), batch.len());
-        for (e, b) in exact.iter().zip(&batch) {
-            assert_eq!(e.index, b.index);
-            assert_eq!(e.label, b.label);
-            let es = e.summary.as_ref().unwrap();
-            let bs = b.summary.as_ref().unwrap();
-            // Per-step LUT error (≤ 0.1 %) integrates but must not change
-            // the transient's shape: continuous ledger quantities stay
-            // within a couple percent and discrete events within one.
-            let rel = |a: f64, r: f64| (a - r).abs() / r.abs().max(1e-15);
-            assert!(
-                rel(bs.ledger.harvested.joules(), es.ledger.harvested.joules()) < 2e-2,
-                "{}: harvested {} vs {}",
-                e.label,
-                bs.ledger.harvested,
-                es.ledger.harvested
-            );
-            assert!(
-                rel(
-                    bs.ledger.delivered_to_cpu.joules(),
-                    es.ledger.delivered_to_cpu.joules()
-                ) < 2e-2,
-                "{}: delivered {} vs {}",
-                e.label,
-                bs.ledger.delivered_to_cpu,
-                es.ledger.delivered_to_cpu
-            );
-            assert!(
-                (bs.final_v_solar - es.final_v_solar).abs() < Volts::from_milli(10.0),
-                "{}: final {} vs {}",
-                e.label,
-                bs.final_v_solar,
-                es.final_v_solar
-            );
-            assert!(
-                (bs.brownouts as i64 - es.brownouts as i64).abs() <= 1,
-                "{}: brownouts {} vs {}",
-                e.label,
-                bs.brownouts,
-                es.brownouts
-            );
+        assert!(batch.iter().all(|r| r.summary.is_ok()));
+        assert_eq!(batch_tolerance_violation(&reference, &batch), None);
+    }
+
+    #[test]
+    fn tolerance_check_reports_the_first_violation() {
+        let reference = exact(&small_grid());
+        assert_eq!(batch_tolerance_violation(&reference, &reference), None);
+        assert!(batch_tolerance_violation(&reference, &reference[1..])
+            .is_some_and(|v| v.contains("results")));
+
+        let mut skewed = reference.clone();
+        if let Ok(s) = skewed[2].summary.as_mut() {
+            s.ledger.harvested *= 1.05;
         }
+        let violation = batch_tolerance_violation(&reference, &skewed).unwrap();
+        assert!(violation.contains(&reference[2].label), "{violation}");
+        assert!(violation.contains("harvested"), "{violation}");
+
+        let mut late = reference.clone();
+        if let Ok(s) = late[5].summary.as_mut() {
+            s.final_v_solar += Volts::from_milli(11.0);
+        }
+        let violation = batch_tolerance_violation(&reference, &late).unwrap();
+        assert!(violation.contains("final_v"), "{violation}");
+
+        let mut infeasible = reference.clone();
+        infeasible[0].summary = Err("dark".into());
+        assert!(batch_tolerance_violation(&reference, &infeasible)
+            .is_some_and(|v| v.contains("feasibility")));
     }
 
     #[test]
     fn batch_dark_groups_fall_back_to_the_exact_path() {
         let mut grid = small_grid();
         grid.irradiances = vec![Irradiance::DARK];
-        let serial = run_serial(&grid).unwrap();
-        assert!(!serial.is_empty());
+        let reference = exact(&grid);
+        assert!(!reference.is_empty());
         for threads in [1, 4] {
             assert_eq!(
-                serial,
+                reference,
                 run_batch(&grid, threads).unwrap(),
                 "threads {threads}"
             );
@@ -1042,7 +985,7 @@ mod tests {
         grid.v_initial = Volts::new(5.0);
         let results = run_batch(&grid, 2).unwrap();
         assert!(results.iter().all(|r| r.summary.is_err()));
-        assert_eq!(results, run_serial(&grid).unwrap());
+        assert_eq!(results, exact(&grid));
     }
 
     #[test]
