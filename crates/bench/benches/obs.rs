@@ -1,5 +1,6 @@
 //! The telemetry-overhead benchmark: what `hems_obs` costs the code it
-//! instruments, written to `BENCH_obs.json` at the repo root.
+//! instruments, written to `BENCH_obs.json` at the repo root (under
+//! `target/verify/` in smoke mode).
 //!
 //! Two comparisons:
 //!
@@ -26,8 +27,9 @@
 //! Smoke mode (`HEMS_BENCH_SMOKE=1`): one iteration of everything, no
 //! overhead assertion (one sample proves nothing).
 
-use hems_bench::harness::{measurement_json, percentile, Harness, Json, Measurement};
+use hems_bench::harness::{measurement_json, percentile, Harness, Measurement};
 use hems_obs::clock::monotonic_ns;
+use hems_obs::json::Value;
 use hems_pv::Irradiance;
 use hems_sim::sweep::{self, SweepGrid};
 use hems_sim::WorkerPool;
@@ -158,40 +160,34 @@ fn main() {
         .clone();
     hems_obs::set_enabled(true);
 
-    // --- JSON report at the repo root. ---
-    let report = Json::Obj(vec![
-        ("schema".into(), Json::Str("hems-bench-obs/1".into())),
-        ("smoke".into(), Json::Bool(c.is_smoke())),
-        ("threads_resolved".into(), Json::Int(cores as i64)),
-        ("scenario_count".into(), Json::Int(grid.len() as i64)),
+    // --- JSON report (repo root; target/verify/ when smoke). ---
+    let report = Value::obj(vec![
+        ("schema", Value::str("hems-bench-obs/1")),
+        ("smoke", Value::Bool(c.is_smoke())),
+        ("threads_resolved", Value::Num(cores as f64)),
+        ("scenario_count", Value::Num(grid.len() as f64)),
         (
-            "sweep_overhead".into(),
-            Json::Obj(vec![
-                ("disabled".into(), measurement_json(&disabled)),
-                ("enabled".into(), measurement_json(&enabled)),
-                ("overhead_paired".into(), Json::Num(overhead_paired)),
-                ("overhead_median".into(), Json::Num(overhead_median)),
-                ("budget".into(), Json::Num(0.02)),
+            "sweep_overhead",
+            Value::obj(vec![
+                ("disabled", measurement_json(&disabled)),
+                ("enabled", measurement_json(&enabled)),
+                ("overhead_paired", Value::Num(overhead_paired)),
+                ("overhead_median", Value::Num(overhead_median)),
+                ("budget", Value::Num(0.02)),
             ]),
         ),
         (
-            "record_cost".into(),
-            Json::Obj(vec![
-                ("counter_inc".into(), measurement_json(&counter_inc)),
-                (
-                    "histogram_record".into(),
-                    measurement_json(&histogram_record),
-                ),
-                ("span_guard".into(), measurement_json(&span_guard)),
-                (
-                    "counter_inc_disabled".into(),
-                    measurement_json(&disabled_inc),
-                ),
+            "record_cost",
+            Value::obj(vec![
+                ("counter_inc", measurement_json(&counter_inc)),
+                ("histogram_record", measurement_json(&histogram_record)),
+                ("span_guard", measurement_json(&span_guard)),
+                ("counter_inc_disabled", measurement_json(&disabled_inc)),
             ]),
         ),
         (
-            "all_measurements".into(),
-            Json::Arr(
+            "all_measurements",
+            Value::Arr(
                 [&disabled, &enabled]
                     .into_iter()
                     .chain(c.results())
@@ -200,17 +196,16 @@ fn main() {
             ),
         ),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    std::fs::write(path, report.render() + "\n").expect("write BENCH_obs.json");
+    let path = c.write_report("BENCH_obs.json", &report);
 
     // Self-validation: the file on disk must carry the headline fields
     // (the verify script relies on the report existing and being sane).
-    let written = std::fs::read_to_string(path).expect("re-read BENCH_obs.json");
+    let written = std::fs::read_to_string(&path).expect("re-read BENCH_obs.json");
     for field in ["schema", "sweep_overhead", "record_cost", "overhead_paired"] {
         assert!(
             written.contains(&format!("\"{field}\"")),
             "report is missing '{field}'"
         );
     }
-    println!("[obs bench] wrote {path}");
+    println!("[obs bench] wrote {}", path.display());
 }

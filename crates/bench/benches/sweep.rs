@@ -1,6 +1,7 @@
 //! The scenario-sweep benchmark: exact vs batch engine throughput,
 //! batch-kernel microbenches, and LUT vs exact solver speed, written to
-//! `BENCH_sweep.json` at the repo root (plus the usual stdout report).
+//! `BENCH_sweep.json` at the repo root, or under `target/verify/` in smoke
+//! mode (plus the usual stdout report).
 //!
 //! Four comparisons, matching the performance claims this repo makes:
 //!
@@ -35,10 +36,11 @@
 //! resolution speedup claims are made at; the raw measurements keep full
 //! precision.
 
-use hems_bench::harness::{fmt_ns, measurement_json, percentile, Harness, Json, Measurement};
+use hems_bench::harness::{fmt_ns, measurement_json, percentile, Harness, Measurement};
 use hems_core::{frontier, mep, operating_point, optimal_voltage, CpuEvalBatch, PvSourceBatch};
 use hems_cpu::{CpuLut, Microprocessor};
 use hems_obs::clock::monotonic_ns;
+use hems_obs::json::Value;
 use hems_pv::{Irradiance, PvLut, SolarCell};
 use hems_regulator::{BuckRegulator, Ldo, Regulator, ScRegulator};
 use hems_sim::sweep::{self, SweepGrid};
@@ -262,12 +264,12 @@ impl ScalePoint {
         round2(paired_ratio(&self.exact_raw, &self.batch_raw))
     }
 
-    fn json(&self) -> Json {
-        Json::Obj(vec![
-            ("scenarios".into(), Json::Int(self.scenarios as i64)),
-            ("exact".into(), measurement_json(&self.exact)),
-            ("batch".into(), measurement_json(&self.batch)),
-            ("batch_speedup".into(), Json::Num(self.batch_speedup())),
+    fn json(&self) -> Value {
+        Value::obj(vec![
+            ("scenarios", Value::Num(self.scenarios as f64)),
+            ("exact", measurement_json(&self.exact)),
+            ("batch", measurement_json(&self.batch)),
+            ("batch_speedup", Value::Num(self.batch_speedup())),
         ])
     }
 }
@@ -450,70 +452,67 @@ fn main() {
         deviation * 100.0
     );
 
-    // --- JSON report at the repo root. ---
-    let report = Json::Obj(vec![
-        ("schema".into(), Json::Str("hems-bench-sweep/3".into())),
-        ("smoke".into(), Json::Bool(c.is_smoke())),
-        ("threads_resolved".into(), Json::Int(cores as i64)),
-        ("workers_actual".into(), Json::Int(workers_actual as i64)),
+    // --- JSON report (repo root; target/verify/ when smoke). ---
+    let report = Value::obj(vec![
+        ("schema", Value::str("hems-bench-sweep/3")),
+        ("smoke", Value::Bool(c.is_smoke())),
+        ("threads_resolved", Value::Num(cores as f64)),
+        ("workers_actual", Value::Num(workers_actual as f64)),
         (
-            "threads_env".into(),
+            "threads_env",
             match std::env::var(sweep::THREADS_ENV) {
-                Ok(v) => Json::Str(v),
-                Err(_) => Json::Str("unset".into()),
+                Ok(v) => Value::Str(v),
+                Err(_) => Value::str("unset"),
             },
         ),
+        ("scenario_count", Value::Num(headline.scenarios as f64)),
         (
-            "scenario_count".into(),
-            Json::Int(headline.scenarios as i64),
-        ),
-        (
-            "engine".into(),
-            Json::Obj(vec![
-                ("exact".into(), measurement_json(&headline.exact)),
-                ("batch".into(), measurement_json(&headline.batch)),
-                ("batch_speedup".into(), Json::Num(headline.batch_speedup())),
-                ("batch_lanes".into(), Json::Int(sweep::BATCH_LANES as i64)),
+            "engine",
+            Value::obj(vec![
+                ("exact", measurement_json(&headline.exact)),
+                ("batch", measurement_json(&headline.batch)),
+                ("batch_speedup", Value::Num(headline.batch_speedup())),
+                ("batch_lanes", Value::Num(sweep::BATCH_LANES as f64)),
             ]),
         ),
         (
-            "scaling".into(),
-            Json::Arr(scaling.iter().map(ScalePoint::json).collect()),
+            "scaling",
+            Value::Arr(scaling.iter().map(ScalePoint::json).collect()),
         ),
         (
-            "kernels".into(),
-            Json::Obj(vec![
-                ("slab_len".into(), Json::Int(SLAB as i64)),
-                ("pv_lut_scalar".into(), measurement_json(&pv_scalar)),
-                ("pv_lut_batch".into(), measurement_json(&pv_batch)),
-                ("pv_ratio".into(), Json::Num(pv_kernel_ratio)),
-                ("cpu_lut_scalar".into(), measurement_json(&cpu_scalar)),
-                ("cpu_lut_batch".into(), measurement_json(&cpu_batch)),
-                ("cpu_ratio".into(), Json::Num(cpu_kernel_ratio)),
+            "kernels",
+            Value::obj(vec![
+                ("slab_len", Value::Num(SLAB as f64)),
+                ("pv_lut_scalar", measurement_json(&pv_scalar)),
+                ("pv_lut_batch", measurement_json(&pv_batch)),
+                ("pv_ratio", Value::Num(pv_kernel_ratio)),
+                ("cpu_lut_scalar", measurement_json(&cpu_scalar)),
+                ("cpu_lut_batch", measurement_json(&cpu_batch)),
+                ("cpu_ratio", Value::Num(cpu_kernel_ratio)),
             ]),
         ),
         (
-            "solvers".into(),
-            Json::Obj(vec![
-                ("exact".into(), measurement_json(&exact)),
-                ("lut".into(), measurement_json(&lut)),
-                ("lut_cold".into(), measurement_json(&lut_cold)),
-                ("pv_lut_build".into(), measurement_json(&build)),
-                ("speedup".into(), Json::Num(solver_speedup)),
-                ("cold_speedup".into(), Json::Num(cold_speedup)),
-                ("worst_relative_deviation".into(), Json::Num(deviation)),
+            "solvers",
+            Value::obj(vec![
+                ("exact", measurement_json(&exact)),
+                ("lut", measurement_json(&lut)),
+                ("lut_cold", measurement_json(&lut_cold)),
+                ("pv_lut_build", measurement_json(&build)),
+                ("speedup", Value::Num(solver_speedup)),
+                ("cold_speedup", Value::Num(cold_speedup)),
+                ("worst_relative_deviation", Value::Num(deviation)),
             ]),
         ),
         (
-            "peak_rss_bytes".into(),
+            "peak_rss_bytes",
             match hems_bench::harness::peak_rss_bytes() {
-                Some(rss) => Json::Int(rss as i64),
-                None => Json::Num(f64::NAN),
+                Some(rss) => Value::Num(rss as f64),
+                None => Value::Num(f64::NAN),
             },
         ),
         (
-            "all_measurements".into(),
-            Json::Arr(
+            "all_measurements",
+            Value::Arr(
                 scaling
                     .iter()
                     .flat_map(|p| [&p.exact, &p.batch])
@@ -523,7 +522,6 @@ fn main() {
             ),
         ),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");
-    std::fs::write(path, report.render() + "\n").expect("write BENCH_sweep.json");
-    println!("[sweep bench] wrote {path}");
+    let path = c.write_report("BENCH_sweep.json", &report);
+    println!("[sweep bench] wrote {}", path.display());
 }

@@ -17,10 +17,13 @@
 //!
 //! **Smoke mode** (`HEMS_BENCH_SMOKE=1`, or [`Harness::smoke`]): one
 //! sample of one call, no warmup — CI checks that every bench *runs*
-//! without paying for statistics.
+//! without paying for statistics. Smoke reports go to `target/verify/`
+//! ([`Harness::write_report`]); only full runs write the repo root.
 
 use hems_obs::clock::monotonic_ns;
+use hems_obs::json::Value;
 use std::hint::black_box;
+use std::path::{Path, PathBuf};
 
 /// Target minimum duration of one timed batch, in nanoseconds.
 const MIN_BATCH_NS: f64 = 1e6;
@@ -179,6 +182,24 @@ impl Harness {
     pub fn results(&self) -> &[Measurement] {
         &self.results
     }
+
+    /// Writes `report` as two-space-indented JSON to `file` and returns
+    /// the path: the repo root for a full run, `target/verify/` for a
+    /// smoke run, so smoke data never overwrites a committed report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the directory or file cannot be written.
+    pub fn write_report(&self, file: &str, report: &Value) -> PathBuf {
+        let mut dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        if self.smoke {
+            dir = dir.join("target/verify");
+            std::fs::create_dir_all(&dir).expect("create target/verify");
+        }
+        let path = dir.join(file);
+        std::fs::write(&path, report.render_pretty() + "\n").expect("write bench report");
+        path
+    }
 }
 
 /// Interpolated percentile of an ascending-sorted slice.
@@ -199,89 +220,6 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     }
 }
 
-/// A minimal JSON value for the bench reports — hand-rolled so the
-/// harness stays dependency-free. Numbers render with enough precision
-/// to round-trip; non-finite numbers render as `null`.
-#[derive(Debug, Clone)]
-pub enum Json {
-    /// A number.
-    Num(f64),
-    /// An integer (rendered without a decimal point).
-    Int(i64),
-    /// A string.
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Renders with two-space indentation.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, depth: usize) {
-        let pad = |n: usize| "  ".repeat(n);
-        match self {
-            Json::Num(x) if x.is_finite() => out.push_str(&format!("{x}")),
-            Json::Num(_) => out.push_str("null"),
-            Json::Int(i) => out.push_str(&format!("{i}")),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Str(s) => {
-                out.push('"');
-                for ch in s.chars() {
-                    match ch {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad(depth + 1));
-                    item.write(out, depth + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&pad(depth));
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    out.push_str(&pad(depth + 1));
-                    Json::Str(k.clone()).write(out, depth + 1);
-                    out.push_str(": ");
-                    v.write(out, depth + 1);
-                    out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&pad(depth));
-                out.push('}');
-            }
-        }
-    }
-}
-
 /// Peak resident set size of this process in bytes, read from the
 /// kernel's `VmHWM` high-water mark in `/proc/self/status` — `std`-only,
 /// no syscall bindings. Returns `None` off Linux or if the field is
@@ -299,19 +237,16 @@ pub fn peak_rss_bytes() -> Option<u64> {
 }
 
 /// A [`Measurement`] as a JSON object.
-pub fn measurement_json(m: &Measurement) -> Json {
-    Json::Obj(vec![
-        ("name".into(), Json::Str(m.name.clone())),
-        ("samples".into(), Json::Int(m.samples as i64)),
-        ("batch".into(), Json::Int(m.batch as i64)),
-        ("median_ns".into(), Json::Num(m.median_ns)),
-        ("p95_ns".into(), Json::Num(m.p95_ns)),
-        ("min_ns".into(), Json::Num(m.min_ns)),
-        ("mean_ns".into(), Json::Num(m.mean_ns)),
-        (
-            "throughput_per_sec".into(),
-            Json::Num(m.throughput_per_sec()),
-        ),
+pub fn measurement_json(m: &Measurement) -> Value {
+    Value::obj(vec![
+        ("name", Value::str(&m.name)),
+        ("samples", Value::Num(m.samples as f64)),
+        ("batch", Value::Num(m.batch as f64)),
+        ("median_ns", Value::Num(m.median_ns)),
+        ("p95_ns", Value::Num(m.p95_ns)),
+        ("min_ns", Value::Num(m.min_ns)),
+        ("mean_ns", Value::Num(m.mean_ns)),
+        ("throughput_per_sec", Value::Num(m.throughput_per_sec())),
     ])
 }
 
@@ -349,18 +284,36 @@ mod tests {
     }
 
     #[test]
-    fn json_renders_and_escapes() {
-        let j = Json::Obj(vec![
-            ("a".into(), Json::Num(1.5)),
-            ("b".into(), Json::Str("x\"y\n".into())),
-            ("c".into(), Json::Arr(vec![Json::Int(1), Json::Bool(false)])),
-            ("d".into(), Json::Num(f64::NAN)),
+    fn render_pretty_gives_the_two_space_report_layout() {
+        let report = Value::obj(vec![
+            ("name", Value::str("x\"y\\z\n\t\u{1}")),
+            ("count", Value::Num(42.0)),
+            ("ratio", Value::Num(1.5)),
+            ("missing", Value::Num(f64::NAN)),
+            (
+                "nested",
+                Value::obj(vec![
+                    (
+                        "list",
+                        Value::Arr(vec![
+                            Value::Num(-7.0),
+                            Value::Bool(false),
+                            Value::Arr(vec![]),
+                            Value::obj(vec![]),
+                        ]),
+                    ),
+                    ("empty", Value::obj(vec![])),
+                ]),
+            ),
+            ("flag", Value::Bool(true)),
         ]);
-        let s = j.render();
-        assert!(s.contains("\"a\": 1.5"));
-        assert!(s.contains("\\\"y\\n"));
-        assert!(s.contains("\"d\": null"));
-        assert!(s.contains("[\n"));
+        assert_eq!(
+            report.render_pretty(),
+            "{\n  \"name\": \"x\\\"y\\\\z\\n\\t\\u0001\",\n  \"count\": 42,\n  \
+             \"ratio\": 1.5,\n  \"missing\": null,\n  \"nested\": {\n    \"list\": [\n      \
+             -7,\n      false,\n      [],\n      {}\n    ],\n    \"empty\": {}\n  },\n  \
+             \"flag\": true\n}"
+        );
     }
 
     #[test]

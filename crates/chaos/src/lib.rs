@@ -34,7 +34,7 @@
 //! xorshift RNG ([`hems_units::XorShiftRng`]): the same seed yields the
 //! same faults, the same retry schedules, and a byte-identical report.
 //! The `hems-chaos` bin runs a campaign and emits one JSON line per
-//! injected fault (validated through the serve crate's own parser) plus a
+//! injected fault (validated through the wire codec, `hems_obs::json`) plus a
 //! `BENCH_chaos.json` summary of survival/recovery rates.
 //!
 //! To reproduce a failing campaign, re-run with the seed it printed:

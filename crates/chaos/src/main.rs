@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Prints one JSON line per injected fault (each validated through the
-//! serve crate's own parser), writes the survival summary to `--out`
+//! wire codec, `hems_obs::json`), writes the survival summary to `--out`
 //! (default `BENCH_chaos.json`), and exits nonzero if any fault went
 //! unrecovered — the CI contract.
 

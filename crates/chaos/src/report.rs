@@ -1,11 +1,12 @@
 //! Campaign orchestration and reporting.
 //!
-//! A campaign runs all four surfaces, collects one JSON line per
-//! injected fault, and validates every line through the serve crate's own
-//! parser before it is emitted — the report exercises the same wire
-//! machinery the chaos proxy attacks. The summary becomes
-//! `BENCH_chaos.json`: per-surface injected/recovered counts and survival
-//! rates, keyed by the seed so any failure is replayable.
+//! A campaign runs all five surfaces, collects one JSON line per
+//! injected fault, and validates every line through the workspace's JSON
+//! codec (`hems_obs::json`, the serve wire format) before it is emitted —
+//! the report exercises the same wire machinery the chaos proxy attacks.
+//! The summary becomes `BENCH_chaos.json`: per-surface injected/recovered
+//! counts and survival rates, keyed by the seed so any failure is
+//! replayable.
 
 use crate::error::ChaosError;
 use crate::plan::CampaignConfig;
@@ -35,7 +36,7 @@ impl Campaign {
     }
 
     /// Renders the JSON-lines report, round-tripping every line through
-    /// the serve crate's parser.
+    /// the codec's parser.
     ///
     /// # Errors
     ///
@@ -122,8 +123,6 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<Campaign, ChaosError> {
         .iter()
         .map(|s| count(&format!("chaos.{s}.recovered")))
         .sum();
-    let obs_value = parse(&obs.render())
-        .map_err(|e| ChaosError::new("report: obs snapshot round-trip", e.to_string()))?;
     let mut lines = Vec::new();
     lines.extend(power.lines);
     lines.extend(compute.lines);
@@ -143,7 +142,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<Campaign, ChaosError> {
         ),
         ("survival_rate", Value::Num(rate(recovered, injected))),
         ("serve_panics", Value::Num(net.serve_panics as f64)),
-        ("obs", obs_value),
+        ("obs", obs.to_value()),
     ]);
     lines.push(Value::obj(vec![
         ("surface", Value::str("campaign")),

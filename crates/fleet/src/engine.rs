@@ -28,7 +28,6 @@ use crate::wheel::TimeWheel;
 use hems_core::cachekey::KeyHasher;
 use hems_intermittent::CheckpointPolicy;
 use hems_obs::{HistogramSnapshot, ManualClock, Registry, Snapshot};
-use hems_serve::json::parse;
 use hems_serve::Value;
 use std::sync::Arc;
 
@@ -436,8 +435,6 @@ impl Fleet {
             .count() as u64;
         self.registry.counter("fleet.storms").add(storms_total);
         let obs = self.registry.snapshot();
-        let obs_value = parse(&obs.render())
-            .map_err(|e| FleetError::new("report: obs snapshot round-trip", e.to_string()))?;
         let summary = Value::obj(vec![
             ("event", Value::str("summary")),
             ("seed", Value::Num(config.seed as f64)),
@@ -465,7 +462,7 @@ impl Fleet {
             ),
             ("node_steps", Value::Num(self.node_steps as f64)),
             ("events", Value::Num(events as f64)),
-            ("obs", obs_value),
+            ("obs", obs.to_value()),
         ]);
         Ok(FleetReport {
             lines,

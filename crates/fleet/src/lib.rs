@@ -26,7 +26,7 @@
 //! * **engine** ([`engine`]) — the campaign driver: seeded storms, sampled
 //!   prefix-digest crash-consistency checks, [`hems_obs`] histograms and
 //!   gauges on a manual clock, and a seed-reproducible JSON-lines report
-//!   ([`report`]) rendered through the serve crate's own parser.
+//!   ([`report`]) round-tripped through the wire codec, `hems_obs::json`.
 //!
 //! Determinism is the contract: the same `(seed, node count)` yields a
 //! byte-identical report regardless of host speed or serve thread count.

@@ -20,12 +20,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use hems_bench::harness::{fmt_ns, peak_rss_bytes, Json};
+use hems_bench::harness::{fmt_ns, peak_rss_bytes};
 use hems_fleet::{
     AnalyticPlans, Fleet, FleetConfig, FleetError, FleetReport, PlanSource, ServePlans,
 };
 use hems_obs::clock::monotonic_ns;
 use hems_serve::server::{serve, ServeConfig};
+use hems_serve::Value;
 use std::process::ExitCode;
 
 struct Args {
@@ -119,27 +120,21 @@ fn run_one(config: FleetConfig, source: &mut dyn PlanSource) -> Result<TimedRun,
     })
 }
 
-fn scaling_entry(run: &TimedRun) -> Json {
-    Json::Obj(vec![
-        ("nodes".into(), Json::Int(run.config.nodes as i64)),
-        ("days".into(), Json::Int(run.config.days as i64)),
-        ("node_steps".into(), Json::Int(run.report.node_steps as i64)),
-        ("events".into(), Json::Int(run.report.events as i64)),
-        ("committed".into(), Json::Int(run.report.committed as i64)),
-        ("violations".into(), Json::Int(run.report.violations as i64)),
+fn scaling_entry(run: &TimedRun) -> Value {
+    Value::obj(vec![
+        ("nodes", Value::Num(run.config.nodes as f64)),
+        ("days", Value::Num(run.config.days as f64)),
+        ("node_steps", Value::Num(run.report.node_steps as f64)),
+        ("events", Value::Num(run.report.events as f64)),
+        ("committed", Value::Num(run.report.committed as f64)),
+        ("violations", Value::Num(run.report.violations as f64)),
+        ("unrecovered", Value::Num(run.report.unrecovered() as f64)),
+        ("wall_ns", Value::Num(run.wall_ns as f64)),
+        ("node_steps_per_sec", Value::Num(run.node_steps_per_sec())),
+        ("events_per_sec", Value::Num(run.events_per_sec())),
         (
-            "unrecovered".into(),
-            Json::Int(run.report.unrecovered() as i64),
-        ),
-        ("wall_ns".into(), Json::Int(run.wall_ns as i64)),
-        (
-            "node_steps_per_sec".into(),
-            Json::Num(run.node_steps_per_sec()),
-        ),
-        ("events_per_sec".into(), Json::Num(run.events_per_sec())),
-        (
-            "node_seconds_per_sec".into(),
-            Json::Num(run.node_seconds_per_sec()),
+            "node_seconds_per_sec",
+            Value::Num(run.node_seconds_per_sec()),
         ),
     ])
 }
@@ -200,55 +195,46 @@ fn run(args: &Args) -> Result<u64, FleetError> {
         .iter()
         .map(|r| r.report.violations + r.report.unrecovered())
         .sum();
-    let bench = Json::Obj(vec![
-        ("bench".into(), Json::Str("fleet".into())),
-        ("seed".into(), Json::Int(args.seed as i64)),
-        ("source".into(), Json::Str(source.name().into())),
-        ("smoke".into(), Json::Bool(args.smoke)),
-        ("nodes".into(), Json::Int(headline.config.nodes as i64)),
-        ("days".into(), Json::Int(headline.config.days as i64)),
+    let bench = Value::obj(vec![
+        ("bench", Value::str("fleet")),
+        ("seed", Value::Num(args.seed as f64)),
+        ("source", Value::str(source.name())),
+        ("smoke", Value::Bool(args.smoke)),
+        ("nodes", Value::Num(headline.config.nodes as f64)),
+        ("days", Value::Num(headline.config.days as f64)),
         (
-            "bytes_per_node".into(),
-            Json::Int(std::mem::size_of::<hems_fleet::NodeState>() as i64),
+            "bytes_per_node",
+            Value::Num(std::mem::size_of::<hems_fleet::NodeState>() as f64),
         ),
         (
-            "node_steps_per_sec".into(),
-            Json::Num(headline.node_steps_per_sec()),
+            "node_steps_per_sec",
+            Value::Num(headline.node_steps_per_sec()),
+        ),
+        ("events_per_sec", Value::Num(headline.events_per_sec())),
+        (
+            "node_seconds_per_sec",
+            Value::Num(headline.node_seconds_per_sec()),
+        ),
+        ("committed", Value::Num(headline.report.committed as f64)),
+        ("violations", Value::Num(headline.report.violations as f64)),
+        ("storms", Value::Num(headline.report.storms as f64)),
+        (
+            "storms_recovered",
+            Value::Num(headline.report.storms_recovered as f64),
         ),
         (
-            "events_per_sec".into(),
-            Json::Num(headline.events_per_sec()),
-        ),
-        (
-            "node_seconds_per_sec".into(),
-            Json::Num(headline.node_seconds_per_sec()),
-        ),
-        (
-            "committed".into(),
-            Json::Int(headline.report.committed as i64),
-        ),
-        (
-            "violations".into(),
-            Json::Int(headline.report.violations as i64),
-        ),
-        ("storms".into(), Json::Int(headline.report.storms as i64)),
-        (
-            "storms_recovered".into(),
-            Json::Int(headline.report.storms_recovered as i64),
-        ),
-        (
-            "peak_rss_bytes".into(),
+            "peak_rss_bytes",
             match peak_rss_bytes() {
-                Some(rss) => Json::Int(rss as i64),
-                None => Json::Num(f64::NAN),
+                Some(rss) => Value::Num(rss as f64),
+                None => Value::Num(f64::NAN),
             },
         ),
         (
-            "scaling".into(),
-            Json::Arr(runs.iter().map(scaling_entry).collect()),
+            "scaling",
+            Value::Arr(runs.iter().map(scaling_entry).collect()),
         ),
     ]);
-    std::fs::write(&args.out, format!("{}\n", bench.render()))
+    std::fs::write(&args.out, format!("{}\n", bench.render_pretty()))
         .map_err(|e| FleetError::new("fleet: write bench", e.to_string()))?;
     eprintln!(
         "fleet: seed {} source {} violations {} unrecovered {} -> {}",

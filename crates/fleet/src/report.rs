@@ -2,7 +2,7 @@
 //!
 //! Same contract as the chaos crate's reports: every line is a
 //! [`Value`] that must survive a render → parse → render round trip
-//! through the serve stack's own JSON codec, and the whole rendered text
+//! through the workspace's one JSON codec (`hems_obs::json`), and the whole rendered text
 //! is byte-identical for the same `(seed, config)` — including the
 //! summary's embedded `hems_obs` snapshot (its manual clock is pinned to
 //! simulated time, never the host's). Anything wall-clock-dependent
@@ -45,7 +45,7 @@ impl FleetReport {
     }
 
     /// Renders every line plus the summary as newline-delimited JSON,
-    /// round-tripping each through the serve parser.
+    /// round-tripping each through the codec's parser.
     ///
     /// # Errors
     ///

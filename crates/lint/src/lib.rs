@@ -30,7 +30,7 @@
 //! directives (the reason is mandatory), two committed allowlists, and a
 //! committed baseline file ([`workspace`]). The binary exits nonzero on
 //! any non-baselined finding; `--json` emits machine-readable JSON lines
-//! (round-trip-tested against the serve crate's JSON parser).
+//! (rendered by the workspace's one JSON codec, `hems_obs::json`).
 //!
 //! ## Quick start
 //!

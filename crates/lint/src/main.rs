@@ -8,6 +8,7 @@
 
 use hems_lint::report::Baseline;
 use hems_lint::workspace::{self, analyze_workspace, load_baseline, load_config};
+use hems_obs::json::Value;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -99,19 +100,25 @@ fn main() -> ExitCode {
         for finding in &fresh {
             println!("{}", finding.render_json());
         }
-        println!(
-            "{{\"summary\":true,\"files\":{},\"findings\":{},\"baselined\":{},\
-             \"wall_ms\":{wall_ms},\"functions\":{},\"edges\":{},\
-             \"passes\":{{\"panic_reach\":{},\"lock_order\":{},\"taint\":{}}}}}",
-            analysis.files_scanned,
-            fresh.len(),
-            baselined.len(),
-            passes.functions,
-            passes.edges,
-            passes.panic_reach,
-            passes.lock_order,
-            passes.taint,
-        );
+        let count = |n: usize| Value::Num(n as f64);
+        let summary = Value::obj(vec![
+            ("summary", Value::Bool(true)),
+            ("files", count(analysis.files_scanned)),
+            ("findings", count(fresh.len())),
+            ("baselined", count(baselined.len())),
+            ("wall_ms", Value::Num(wall_ms as f64)),
+            ("functions", count(passes.functions)),
+            ("edges", count(passes.edges)),
+            (
+                "passes",
+                Value::obj(vec![
+                    ("panic_reach", count(passes.panic_reach)),
+                    ("lock_order", count(passes.lock_order)),
+                    ("taint", count(passes.taint)),
+                ]),
+            ),
+        ]);
+        println!("{}", summary.render());
     } else {
         for finding in &fresh {
             println!("{}", finding.render_human());

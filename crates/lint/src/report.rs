@@ -10,6 +10,7 @@
 //! makes the gate a ratchet: new occurrences of an old problem still
 //! fail.
 
+use hems_obs::json::Value;
 use std::collections::HashMap;
 
 /// One rule violation at a source location.
@@ -57,42 +58,14 @@ impl Finding {
 
     /// One compact JSON object (no trailing newline).
     pub fn render_json(&self) -> String {
-        let mut out = String::with_capacity(self.message.len() + 64);
-        out.push_str("{\"rule\":");
-        write_json_string(&self.rule, &mut out);
-        out.push_str(",\"file\":");
-        write_json_string(&self.file, &mut out);
-        out.push_str(",\"line\":");
-        out.push_str(&self.line.to_string());
-        out.push_str(",\"message\":");
-        write_json_string(&self.message, &mut out);
-        out.push('}');
-        out
+        Value::obj(vec![
+            ("rule", Value::str(&self.rule)),
+            ("file", Value::str(&self.file)),
+            ("line", Value::Num(f64::from(self.line))),
+            ("message", Value::str(&self.message)),
+        ])
+        .render()
     }
-}
-
-/// Escapes a string into `out` as a JSON string literal.
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str("\\u");
-                let code = c as u32;
-                for shift in [12u32, 8, 4, 0] {
-                    let digit = (code >> shift) & 0xf;
-                    out.push(char::from_digit(digit, 16).unwrap_or('0'));
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// The parsed committed baseline: a multiset of finding keys.

@@ -1,8 +1,8 @@
 //! End-to-end gate tests: the real workspace must pass, and the JSON
-//! output must round-trip through the serve crate's own JSON parser.
+//! output must round-trip through the workspace's JSON codec.
 
 use hems_lint::{analyze_workspace, load_baseline, load_config, Finding, SourceFile};
-use hems_serve::json::{parse, Value};
+use hems_obs::json::{parse, Value};
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> PathBuf {
@@ -109,7 +109,7 @@ fn json_output_round_trips_through_the_serve_parser() {
 }
 
 /// Messages with quotes, backslashes, and non-ASCII text survive the
-/// encode → serve-parse round trip byte-for-byte.
+/// encode → parse round trip byte-for-byte.
 #[test]
 fn json_escaping_survives_hostile_messages() {
     let finding = Finding::new(

@@ -20,11 +20,10 @@
 //! `--smoke` (or `HEMS_BENCH_SMOKE=1`) shrinks every experiment to a
 //! seconds-scale CI pass. `--out PATH` overrides the output path.
 
-use hems_bench::harness::Json;
 use hems_load::run as load_run;
 use hems_load::{knee_of, RampPoint, RunConfig, RunReport, WorkloadConfig};
 use hems_router::{route, RouterConfig, RouterHandle};
-use hems_serve::{serve, QueryKind, ServeConfig, ServerHandle};
+use hems_serve::{serve, QueryKind, ServeConfig, ServerHandle, Value};
 use std::io;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -87,18 +86,18 @@ fn tier(shards: usize, cache_capacity: usize) -> io::Result<Tier> {
     })
 }
 
-fn report_json(report: &RunReport) -> Json {
-    Json::Obj(vec![
-        ("sent".into(), Json::Int(report.sent as i64)),
-        ("ok".into(), Json::Int(report.ok as i64)),
-        ("offered_hz".into(), Json::Num(report.offered_hz)),
-        ("goodput_hz".into(), Json::Num(report.goodput_hz)),
-        ("p50_ms".into(), Json::Num(report.p50_ms)),
-        ("p95_ms".into(), Json::Num(report.p95_ms)),
-        ("p99_ms".into(), Json::Num(report.p99_ms)),
-        ("error_rate".into(), Json::Num(report.error_rate())),
-        ("overload_rate".into(), Json::Num(report.overload_rate())),
-        ("hit_rate".into(), Json::Num(report.hit_rate())),
+fn report_json(report: &RunReport) -> Value {
+    Value::obj(vec![
+        ("sent", Value::Num(report.sent as f64)),
+        ("ok", Value::Num(report.ok as f64)),
+        ("offered_hz", Value::Num(report.offered_hz)),
+        ("goodput_hz", Value::Num(report.goodput_hz)),
+        ("p50_ms", Value::Num(report.p50_ms)),
+        ("p95_ms", Value::Num(report.p95_ms)),
+        ("p99_ms", Value::Num(report.p99_ms)),
+        ("error_rate", Value::Num(report.error_rate())),
+        ("overload_rate", Value::Num(report.overload_rate())),
+        ("hit_rate", Value::Num(report.hit_rate())),
     ])
 }
 
@@ -252,47 +251,47 @@ fn bench(args: Args) -> io::Result<ExitCode> {
     );
     drop(knee_tier);
 
-    let bench = Json::Obj(vec![
+    let bench = Value::obj(vec![
         (
-            "meta".into(),
-            Json::Obj(vec![
-                ("smoke".into(), Json::Bool(args.smoke)),
-                ("cache_capacity".into(), Json::Int(cache_capacity as i64)),
-                ("keyspace".into(), Json::Int(keyspace as i64)),
-                ("scale_keyspace".into(), Json::Int(scale_keyspace as i64)),
-                ("connections".into(), Json::Int(connections as i64)),
+            "meta",
+            Value::obj(vec![
+                ("smoke", Value::Bool(args.smoke)),
+                ("cache_capacity", Value::Num(cache_capacity as f64)),
+                ("keyspace", Value::Num(keyspace as f64)),
+                ("scale_keyspace", Value::Num(scale_keyspace as f64)),
+                ("connections", Value::Num(connections as f64)),
             ]),
         ),
         (
-            "digest".into(),
-            Json::Obj(vec![
-                ("requests".into(), Json::Int(digest_arrivals.len() as i64)),
+            "digest",
+            Value::obj(vec![
+                ("requests", Value::Num(digest_arrivals.len() as f64)),
                 (
-                    "direct".into(),
-                    Json::Str(format!("{:016x}", direct_report.digest)),
+                    "direct",
+                    Value::Str(format!("{:016x}", direct_report.digest)),
                 ),
                 (
-                    "routed".into(),
-                    Json::Str(format!("{:016x}", routed_report.digest)),
+                    "routed",
+                    Value::Str(format!("{:016x}", routed_report.digest)),
                 ),
-                ("match".into(), Json::Bool(digest_match)),
+                ("match", Value::Bool(digest_match)),
             ]),
         ),
         (
-            "scaling".into(),
-            Json::Obj(vec![
-                ("one_backend_hz".into(), Json::Num(one_hz)),
-                ("three_backend_hz".into(), Json::Num(three_hz)),
-                ("speedup".into(), Json::Num(speedup)),
+            "scaling",
+            Value::obj(vec![
+                ("one_backend_hz", Value::Num(one_hz)),
+                ("three_backend_hz", Value::Num(three_hz)),
+                ("speedup", Value::Num(speedup)),
                 (
-                    "runs".into(),
-                    Json::Arr(
+                    "runs",
+                    Value::Arr(
                         scaling
                             .iter()
                             .map(|(shards, r)| {
-                                Json::Obj(vec![
-                                    ("backends".into(), Json::Int(*shards as i64)),
-                                    ("report".into(), report_json(r)),
+                                Value::obj(vec![
+                                    ("backends", Value::Num(*shards as f64)),
+                                    ("report", report_json(r)),
                                 ])
                             })
                             .collect(),
@@ -301,22 +300,22 @@ fn bench(args: Args) -> io::Result<ExitCode> {
             ]),
         ),
         (
-            "knee".into(),
-            Json::Obj(vec![
-                ("tolerance".into(), Json::Num(knee_tolerance)),
+            "knee",
+            Value::obj(vec![
+                ("tolerance", Value::Num(knee_tolerance)),
                 // A NaN renders as JSON null: "no step held".
-                ("knee_hz".into(), Json::Num(knee_hz.unwrap_or(f64::NAN))),
+                ("knee_hz", Value::Num(knee_hz.unwrap_or(f64::NAN))),
                 (
-                    "points".into(),
-                    Json::Arr(
+                    "points",
+                    Value::Arr(
                         points
                             .iter()
                             .map(|p| {
-                                Json::Obj(vec![
-                                    ("offered_hz".into(), Json::Num(p.offered_hz)),
-                                    ("goodput_hz".into(), Json::Num(p.goodput_hz)),
-                                    ("p99_ms".into(), Json::Num(p.p99_ms)),
-                                    ("overload_rate".into(), Json::Num(p.overload_rate)),
+                                Value::obj(vec![
+                                    ("offered_hz", Value::Num(p.offered_hz)),
+                                    ("goodput_hz", Value::Num(p.goodput_hz)),
+                                    ("p99_ms", Value::Num(p.p99_ms)),
+                                    ("overload_rate", Value::Num(p.overload_rate)),
                                 ])
                             })
                             .collect(),
@@ -324,9 +323,9 @@ fn bench(args: Args) -> io::Result<ExitCode> {
                 ),
             ]),
         ),
-        ("diurnal".into(), report_json(&diurnal)),
+        ("diurnal", report_json(&diurnal)),
     ]);
-    std::fs::write(&args.out, format!("{}\n", bench.render()))?;
+    std::fs::write(&args.out, format!("{}\n", bench.render_pretty()))?;
     println!("wrote {}", args.out);
 
     if !digest_match {

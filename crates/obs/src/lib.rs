@@ -21,10 +21,12 @@
 //! - **Spans** — [`span!`] returns a guard whose drop records elapsed
 //!   nanoseconds into a histogram; durations come from the registry's
 //!   [`Clock`], so tests measure exact, deterministic spans.
-//! - **Export** — [`Snapshot::render`] emits compact, integer-only,
-//!   sorted-key JSON that round-trips byte-for-byte through
-//!   `hems_serve::json`; [`Snapshot::diff`] turns two snapshots into
-//!   interval deltas for rate computation.
+//! - **Export** — [`Snapshot::to_value`] builds a [`json::Value`] tree
+//!   of integers under sorted keys, and [`Snapshot::render`] renders it
+//!   with [`json`], the workspace's one JSON codec (wire protocol, lint
+//!   output and bench reports use it too), so a snapshot parses back by
+//!   construction; [`Snapshot::diff`] turns two snapshots into interval
+//!   deltas for rate computation.
 //! - **Kill switch** — [`set_enabled(false)`](set_enabled) reduces
 //!   every record call to one relaxed load + branch; the
 //!   `BENCH_obs.json` bench quantifies instrumented-vs-off overhead.
@@ -33,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod clock;
+pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod snapshot;

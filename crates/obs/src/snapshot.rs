@@ -1,10 +1,13 @@
 //! Immutable snapshots of a registry: merged series, quantile
 //! estimation, interval diffing, and JSON export.
 //!
-//! The JSON renderer emits only integers, sorted keys, and escaped
-//! strings, so a snapshot round-trips byte-for-byte through
-//! `hems_serve::json` (`parse(render()).render() == render()`), which
-//! is what the `metrics` query verb and the chaos report rely on.
+//! Export goes through the workspace's one codec: [`Snapshot::to_value`]
+//! builds a [`Value`] of integers under sorted keys, which the `metrics`
+//! query verb, the chaos report and the fleet summary embed directly, and
+//! [`Snapshot::render`] is its compact rendering. There is no second
+//! writer, so `parse(render()) == to_value()` holds by construction.
+
+use crate::json::Value;
 
 /// One histogram bucket: samples in `(lo, hi]` (the first bucket
 /// starts at 0 inclusive).
@@ -215,7 +218,7 @@ impl Snapshot {
         }
     }
 
-    /// Renders the snapshot as one compact JSON object:
+    /// The snapshot as one JSON object:
     ///
     /// ```json
     /// {"at_ns":12,"series":{"name":{"kind":"counter","value":3},...}}
@@ -223,23 +226,22 @@ impl Snapshot {
     ///
     /// Histograms carry `count`/`sum`/`min`/`max`, rounded `p50`/`p95`
     /// estimates, and their non-empty `[lo,hi,n]` buckets. All values
-    /// are integers, so the text survives an f64-based JSON parser
-    /// unchanged (exact below 2^53).
+    /// are integers, exact in the codec's f64 numbers below 2^53.
+    pub fn to_value(&self) -> Value {
+        let series = self
+            .series
+            .iter()
+            .map(|s| (s.name.clone(), series_value(&s.data)))
+            .collect();
+        Value::obj(vec![
+            ("at_ns", int(self.at_ns)),
+            ("series", Value::Obj(series)),
+        ])
+    }
+
+    /// [`Snapshot::to_value`] rendered as compact JSON.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"at_ns\":");
-        out.push_str(&self.at_ns.to_string());
-        out.push_str(",\"series\":{");
-        for (i, series) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, &series.name);
-            out.push(':');
-            render_series(&mut out, &series.data);
-        }
-        out.push_str("}}");
-        out
+        self.to_value().render()
     }
 
     /// JSON-lines export: one self-describing object per series, each
@@ -247,82 +249,49 @@ impl Snapshot {
     pub fn render_lines(&self) -> String {
         let mut out = String::new();
         for series in &self.series {
-            out.push_str("{\"at_ns\":");
-            out.push_str(&self.at_ns.to_string());
-            out.push_str(",\"name\":");
-            push_json_str(&mut out, &series.name);
-            out.push_str(",\"data\":");
-            render_series(&mut out, &series.data);
-            out.push_str("}\n");
+            let line = Value::obj(vec![
+                ("at_ns", int(self.at_ns)),
+                ("name", Value::str(&series.name)),
+                ("data", series_value(&series.data)),
+            ]);
+            out.push_str(&line.render());
+            out.push('\n');
         }
         out
     }
 }
 
-fn render_series(out: &mut String, data: &SeriesData) {
-    match data {
-        SeriesData::Counter(n) => {
-            out.push_str("{\"kind\":\"counter\",\"value\":");
-            out.push_str(&n.to_string());
-            out.push('}');
-        }
-        SeriesData::Gauge(v) => {
-            out.push_str("{\"kind\":\"gauge\",\"value\":");
-            out.push_str(&v.to_string());
-            out.push('}');
-        }
-        SeriesData::Histogram(h) => {
-            out.push_str("{\"kind\":\"histogram\",\"count\":");
-            out.push_str(&h.count.to_string());
-            out.push_str(",\"sum\":");
-            out.push_str(&h.sum.to_string());
-            out.push_str(",\"min\":");
-            out.push_str(&h.min.to_string());
-            out.push_str(",\"max\":");
-            out.push_str(&h.max.to_string());
-            out.push_str(",\"p50\":");
-            out.push_str(&(h.quantile(0.50).round() as u64).to_string());
-            out.push_str(",\"p95\":");
-            out.push_str(&(h.quantile(0.95).round() as u64).to_string());
-            out.push_str(",\"buckets\":[");
-            for (i, bucket) in h.buckets.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                out.push_str(&bucket.lo.to_string());
-                out.push(',');
-                out.push_str(&bucket.hi.to_string());
-                out.push(',');
-                out.push_str(&bucket.n.to_string());
-                out.push(']');
-            }
-            out.push_str("]}");
-        }
-    }
+fn int(n: u64) -> Value {
+    Value::Num(n as f64)
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str("\\u00");
-                let hi = (c as u32) >> 4;
-                let lo = (c as u32) & 0xf;
-                out.push(char::from_digit(hi, 16).unwrap_or('0'));
-                out.push(char::from_digit(lo, 16).unwrap_or('0'));
-            }
-            c => out.push(c),
+fn series_value(data: &SeriesData) -> Value {
+    match data {
+        SeriesData::Counter(n) => {
+            Value::obj(vec![("kind", Value::str("counter")), ("value", int(*n))])
+        }
+        SeriesData::Gauge(v) => Value::obj(vec![
+            ("kind", Value::str("gauge")),
+            ("value", Value::Num(*v as f64)),
+        ]),
+        SeriesData::Histogram(h) => {
+            let buckets = h
+                .buckets
+                .iter()
+                .map(|b| Value::Arr(vec![int(b.lo), int(b.hi), int(b.n)]))
+                .collect();
+            Value::obj(vec![
+                ("kind", Value::str("histogram")),
+                ("count", int(h.count)),
+                ("sum", int(h.sum)),
+                ("min", int(h.min)),
+                ("max", int(h.max)),
+                ("p50", int(h.quantile(0.50).round() as u64)),
+                ("p95", int(h.quantile(0.95).round() as u64)),
+                ("buckets", Value::Arr(buckets)),
+            ])
         }
     }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -459,23 +428,19 @@ mod tests {
             ],
         };
         let text = snap.render();
-        assert!(text.starts_with("{\"at_ns\":5,\"series\":{"));
-        assert!(text.contains("\"c\":{\"kind\":\"counter\",\"value\":2}"));
-        assert!(text.contains("\"g\":{\"kind\":\"gauge\",\"value\":-1}"));
-        assert!(text.contains("\"kind\":\"histogram\",\"count\":2,\"sum\":6"));
-        assert!(!text.contains('.'), "integers only: {text}");
+        assert_eq!(
+            text,
+            "{\"at_ns\":5,\"series\":{\"c\":{\"kind\":\"counter\",\"value\":2},\
+             \"g\":{\"kind\":\"gauge\",\"value\":-1},\
+             \"h\":{\"kind\":\"histogram\",\"count\":2,\"sum\":6,\"min\":3,\"max\":3,\
+             \"p50\":3,\"p95\":3,\"buckets\":[[2,3,2]]}}}"
+        );
+        assert_eq!(crate::json::parse(&text), Ok(snap.to_value()));
         let lines = snap.render_lines();
         assert_eq!(lines.lines().count(), 3);
         for line in lines.lines() {
             assert!(line.starts_with("{\"at_ns\":5,\"name\":"));
         }
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 
     #[test]

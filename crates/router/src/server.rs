@@ -601,16 +601,11 @@ fn dispatch(shared: &Arc<Shared>, line: &str, rng: &mut XorShiftRng) -> Dispatch
         .unwrap_or("");
     match verb {
         "stats" => Dispatch::Reply(ok_response(&id, false, shared.stats_value())),
-        "metrics" => {
-            let rendered = shared.metrics_snapshot().render();
-            match json::parse(&rendered) {
-                Ok(value) => Dispatch::Reply(ok_response(&id, false, value)),
-                Err(e) => {
-                    shared.stats.errors.inc();
-                    Dispatch::Reply(error_response(&id, &e.to_string()))
-                }
-            }
-        }
+        "metrics" => Dispatch::Reply(ok_response(
+            &id,
+            false,
+            shared.metrics_snapshot().to_value(),
+        )),
         "shutdown" => Dispatch::Shutdown(ok_response(
             &id,
             false,

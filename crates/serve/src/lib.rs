@@ -24,9 +24,9 @@
 //! server's `serve.*` series — see `DESIGN.md` §12); `shutdown` drains
 //! in-flight batches before stopping.
 //!
-//! Everything is `std`-only — the wire format lives in [`json`] (a small
-//! recursive-descent parser and compact encoder), the protocol in
-//! [`proto`], query execution in [`planner`].
+//! Everything is `std`-only — the wire format is the workspace's one
+//! JSON codec, `hems_obs::json` (re-exported here as [`json`]), the
+//! protocol lives in [`proto`], query execution in [`planner`].
 //!
 //! ## Quick start
 //!
@@ -45,7 +45,6 @@
 
 pub mod cache;
 pub mod client;
-pub mod json;
 pub mod planner;
 pub mod proto;
 pub mod server;
@@ -55,6 +54,7 @@ pub mod wire;
 
 pub use cache::PlanCache;
 pub use client::{Client, ClientError, PlanAnswer, RetryPolicy};
+pub use hems_obs::json;
 pub use json::Value;
 pub use proto::{QueryKind, Request, ScenarioSpec};
 pub use server::{serve, ServeConfig, ServerHandle};

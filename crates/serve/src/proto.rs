@@ -543,4 +543,35 @@ mod tests {
         spec.capacitance = Some(-1.0);
         assert!(spec.build().is_err());
     }
+
+    #[test]
+    fn torn_frames_error_at_every_split_and_never_panic() {
+        // The chaos-proxy fault model: a frame torn mid-byte arrives as a
+        // prefix (tear at the boundary) or as a prefix with garbage where
+        // the rest should be (tear plus the next frame's bytes). The
+        // parser must reject every such input with an error — never panic
+        // — and, being stateless per line, must still parse the next
+        // well-formed frame afterwards.
+        let line = Request::render_line(
+            77,
+            QueryKind::Sprint,
+            Some(&{
+                let mut s = ScenarioSpec::baseline(0.42);
+                s.deadline = Some(0.02);
+                s
+            }),
+        );
+        // Every strict prefix of a well-formed object is malformed.
+        for split in 0..line.len() {
+            let torn = &line[..split];
+            if torn.is_char_boundary(split) {
+                assert!(parse(torn).is_err(), "prefix {split} parsed: {torn:?}");
+            }
+            assert!(parse(&line).is_ok(), "intact frame must still parse");
+        }
+        // Seeded random tears, splices, and bit flips now live in the
+        // conformance plane: the `json_frames` oracle in
+        // `crates/conformance` generates them at fuzz scale, with
+        // shrinking and replayable repro seeds.
+    }
 }

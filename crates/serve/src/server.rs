@@ -379,23 +379,13 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             }
             QueryKind::Metrics => {
                 // Merge the process-global registry (sweep, pool, LUT
-                // series) with this server's own (serve.*, cache), then
-                // round-trip the rendered snapshot through this crate's
-                // parser so the response is a structured result object,
-                // not an opaque string.
+                // series) with this server's own (serve.*, cache); the
+                // snapshot's JSON tree is the structured result object.
                 let merged = hems_obs::global()
                     .snapshot()
                     .merged(shared.stats.registry().snapshot());
-                match crate::json::parse(&merged.render()) {
-                    Ok(value) => {
-                        write_line(&writer, &ok_response(&request.id, false, value));
-                        shared.stats.record_latency_ns(elapsed_ns(started));
-                    }
-                    Err(e) => {
-                        shared.stats.errors.inc();
-                        write_line(&writer, &error_response(&request.id, &e.to_string()));
-                    }
-                }
+                write_line(&writer, &ok_response(&request.id, false, merged.to_value()));
+                shared.stats.record_latency_ns(elapsed_ns(started));
             }
             QueryKind::Shutdown => {
                 write_line(
@@ -609,6 +599,10 @@ fn batch_loop(shared: &Arc<Shared>) {
             ));
         }
 
+        // This thread answers on other threads' connections, so each
+        // latency is recorded before its line is written: a client that
+        // has read an answer and then asks for `stats` or `metrics` on
+        // its own connection always sees that answer counted.
         for (key, outcome) in outcomes {
             let pendings = waiters.remove(&key).unwrap_or_default();
             match outcome {
@@ -616,8 +610,8 @@ fn batch_loop(shared: &Arc<Shared>) {
                     let rendered = result.render();
                     shared.cache.insert(key, rendered.clone());
                     for p in pendings {
-                        write_line(&p.conn, &ok_line(&p.id, false, &rendered));
                         shared.stats.record_latency_ns(elapsed_ns(p.accepted_at));
+                        write_line(&p.conn, &ok_line(&p.id, false, &rendered));
                     }
                 }
                 Ok(Err(message)) => {
@@ -628,8 +622,8 @@ fn batch_loop(shared: &Arc<Shared>) {
                     // poison the key.
                     shared.stats.errors.inc();
                     for p in pendings {
-                        write_line(&p.conn, &error_response(&p.id, &message));
                         shared.stats.record_latency_ns(elapsed_ns(p.accepted_at));
+                        write_line(&p.conn, &error_response(&p.id, &message));
                     }
                 }
                 Err(message) => {
@@ -639,8 +633,8 @@ fn batch_loop(shared: &Arc<Shared>) {
                     // marked retryable so a well-behaved client resubmits.
                     shared.stats.faults.inc();
                     for p in pendings {
-                        write_line(&p.conn, &retryable_error_response(&p.id, &message));
                         shared.stats.record_latency_ns(elapsed_ns(p.accepted_at));
+                        write_line(&p.conn, &retryable_error_response(&p.id, &message));
                     }
                 }
             }
