@@ -77,6 +77,12 @@ impl BypassPolicy {
     /// bracketing sign change), finds the brightest grid cell where bypass
     /// still wins, then refines the boundary inside that cell.
     ///
+    /// Cost: about 130 exact [`compare_at`](Self::compare_at) solves (the
+    /// 128-point grid, then bisection to 1e-3). The result depends only on
+    /// `(model, regulator, cpu)` and the range, not on today's light, so a
+    /// request-path caller must calibrate once and hold the policy rather
+    /// than calibrate per decision.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::Infeasible`] when bypass never wins (or always

@@ -12,26 +12,29 @@
 //! |-----------------|----------------------------------------------------|
 //! | `optimal_point` | §IV eqs. 1–4 + joint rail/supply refinement        |
 //! | `mep`           | §V eq. 5 system MEP at the cell's MPP rail         |
-//! | `bypass`        | §IV-B crossover calibration + per-level comparison |
+//! | `bypass`        | §IV-B per-level comparison, crossover per topology |
 //! | `sprint`        | §VI-B eqs. 12–13 two-phase schedule vs constant    |
 //! | `sweep_summary` | the transient integrator, summarized               |
 //!
 //! Every query runs the *exact* device models — the service's latency
 //! budget is the plan cache, not the LUT fast path, so misses pay the
-//! reference-quality solve and hits are free. Sweep misses additionally
-//! expose their scenario through [`scenario_for`] so the server can run a
-//! whole micro-batch of them through the sweep engine's chunked batch
-//! entry (`hems_sim::sweep::run_scenarios_chunked`) — same exact models,
-//! byte-identical answers, one pool round-trip per chunk instead of per
-//! key — and render each outcome with [`sweep_answer`].
+//! reference-quality solve and hits are free. The one thing a miss does
+//! not solve is the bypass crossover: it is a constant of the regulator
+//! topology, calibrated once per process on first use. Sweep misses
+//! additionally expose their scenario through [`scenario_for`] so the
+//! server can run a whole micro-batch of them through the sweep engine's
+//! chunked batch entry (`hems_sim::sweep::run_scenarios_chunked`) — same
+//! exact models, byte-identical answers, one pool round-trip per chunk
+//! instead of per key — and render each outcome with [`sweep_answer`].
 
 use crate::json::Value;
-use crate::proto::{effective_duration, QueryKind, ScenarioSpec};
+use crate::proto::{effective_duration, QueryKind, RegulatorChoice, ScenarioSpec};
 use hems_core::{bypass::BypassPolicy, mep, operating_point, optimal_voltage, sprint::SprintPlan};
 use hems_core::{Canonical, KeyHasher, PvSource};
 use hems_sim::sweep::{run_scenario, Scenario, SweepPolicy};
 use hems_sim::SystemConfig;
 use hems_units::Volts;
+use std::sync::OnceLock;
 
 /// One cache miss, ready to execute on a worker.
 #[derive(Debug, Clone)]
@@ -139,24 +142,17 @@ fn bypass_decision(job: &PlanJob) -> Result<Value, String> {
         &job.config.cpu,
         g,
     );
-    // The crossover calibration can legitimately fail (bypass never wins
-    // for an efficient-everywhere regulator); the per-level comparison is
-    // still the answer, with the crossover attached when it exists.
-    let dawn = hems_pv::Irradiance::new(0.02).map_err(|e| e.to_string())?;
-    let policy = BypassPolicy::calibrate(
-        job.config.cell.model(),
-        &job.config.regulator,
-        &job.config.cpu,
-        dawn,
-        hems_pv::Irradiance::FULL_SUN,
-    );
+    // The crossover is a constant of the topology, calibrated once per
+    // process; it can legitimately fail (bypass never wins for an
+    // efficient-everywhere regulator). The per-level comparison is still
+    // the answer, with the crossover attached when it exists.
     let mut fields = vec![
         ("irradiance", Value::Num(g.fraction())),
         ("regulated_w", Value::Num(comparison.regulated.watts())),
         ("bypassed_w", Value::Num(comparison.bypassed.watts())),
         ("bypass_wins", Value::Bool(comparison.bypass_wins())),
     ];
-    match policy {
+    match crossover(job) {
         Ok(policy) => {
             fields.push(("crossover", Value::Num(policy.crossover().fraction())));
             fields.push(("should_bypass", Value::Bool(policy.should_bypass(g))));
@@ -167,6 +163,35 @@ fn bypass_decision(job: &PlanJob) -> Result<Value, String> {
         }
     }
     Ok(Value::obj(fields))
+}
+
+/// The bypass crossover of `job`'s regulator topology over [dawn, full
+/// sun], calibrated by the first query that needs it and held for the
+/// life of the process, failures included.
+///
+/// `spec.regulator` is a complete key: calibration reads the cell model,
+/// the regulator and the CPU, and [`ScenarioSpec::build`] varies only the
+/// regulator among them (light lives outside the cell model).
+fn crossover(job: &PlanJob) -> &'static Result<BypassPolicy, String> {
+    static SC: OnceLock<Result<BypassPolicy, String>> = OnceLock::new();
+    static LDO: OnceLock<Result<BypassPolicy, String>> = OnceLock::new();
+    static BUCK: OnceLock<Result<BypassPolicy, String>> = OnceLock::new();
+    let slot = match job.spec.regulator {
+        RegulatorChoice::Sc => &SC,
+        RegulatorChoice::Ldo => &LDO,
+        RegulatorChoice::Buck => &BUCK,
+    };
+    slot.get_or_init(|| {
+        let dawn = hems_pv::Irradiance::new(0.02).map_err(|e| e.to_string())?;
+        BypassPolicy::calibrate(
+            job.config.cell.model(),
+            &job.config.regulator,
+            &job.config.cpu,
+            dawn,
+            hems_pv::Irradiance::FULL_SUN,
+        )
+        .map_err(|e| e.to_string())
+    })
 }
 
 fn sprint_plan(job: &PlanJob) -> Result<Value, String> {
@@ -282,6 +307,7 @@ pub fn keys_agree(a: &PlanJob, b: &PlanJob) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::PolicySpec;
 
     fn job(kind: QueryKind, g: f64) -> PlanJob {
         PlanJob::build(kind, ScenarioSpec::baseline(g)).unwrap()
@@ -333,6 +359,102 @@ mod tests {
             dim.get("should_bypass").and_then(Value::as_bool),
             Some(true)
         );
+    }
+
+    fn regulator_job(regulator: RegulatorChoice) -> PlanJob {
+        let mut spec = ScenarioSpec::baseline(0.5);
+        spec.regulator = regulator;
+        PlanJob::build(QueryKind::Bypass, spec).unwrap()
+    }
+
+    const TOPOLOGIES: [RegulatorChoice; 3] = [
+        RegulatorChoice::Sc,
+        RegulatorChoice::Ldo,
+        RegulatorChoice::Buck,
+    ];
+
+    #[test]
+    fn memoized_crossover_matches_a_fresh_calibration() {
+        for regulator in TOPOLOGIES {
+            let job = regulator_job(regulator);
+            let fresh = BypassPolicy::calibrate(
+                job.config.cell.model(),
+                &job.config.regulator,
+                &job.config.cpu,
+                hems_pv::Irradiance::new(0.02).unwrap(),
+                hems_pv::Irradiance::FULL_SUN,
+            )
+            .map(|p| p.crossover().fraction().to_bits())
+            .map_err(|e| e.to_string());
+            let memo = crossover(&job)
+                .as_ref()
+                .map(|p| p.crossover().fraction().to_bits())
+                .map_err(Clone::clone);
+            assert_eq!(memo, fresh, "{regulator:?}");
+            // Bypass wins everywhere behind a linear regulator: there is
+            // no crossover, and the answer says so.
+            assert_eq!(memo.is_err(), regulator == RegulatorChoice::Ldo);
+        }
+        let ldo = answer(&regulator_job(RegulatorChoice::Ldo)).unwrap();
+        assert_eq!(ldo.get("crossover"), Some(&Value::Null));
+    }
+
+    #[test]
+    fn crossover_is_calibrated_once_per_topology() {
+        for regulator in TOPOLOGIES {
+            let first = crossover(&regulator_job(regulator));
+            let mut dim = ScenarioSpec::baseline(0.1);
+            dim.regulator = regulator;
+            let again = crossover(&PlanJob::build(QueryKind::Bypass, dim).unwrap());
+            assert!(std::ptr::eq(first, again), "{regulator:?}");
+        }
+        let sc = crossover(&regulator_job(RegulatorChoice::Sc));
+        let buck = crossover(&regulator_job(RegulatorChoice::Buck));
+        assert!(!std::ptr::eq(sc, buck));
+    }
+
+    #[test]
+    fn the_regulator_is_a_complete_crossover_key() {
+        // Calibration reads the cell model, the regulator and the CPU (the
+        // renderings `hems_core::cachekey` hashes). If any other spec field
+        // ever reaches them, the per-topology memo would serve a stale
+        // crossover; this pins that it cannot.
+        let inputs = |spec: &ScenarioSpec| {
+            let (config, _) = spec.build().unwrap();
+            let (model, regulator, cpu) = (config.cell.model(), config.regulator, config.cpu);
+            format!("{model:?} {regulator:?} {cpu:?}")
+        };
+        let perturbations: [fn(&mut ScenarioSpec); 6] = [
+            |s| s.irradiance = 0.05,
+            |s| s.capacitance = Some(2e-6),
+            |s| {
+                s.policy = PolicySpec::Duty {
+                    v_run: 1.0,
+                    v_stop: 0.8,
+                    vdd: 0.5,
+                }
+            },
+            |s| s.v_initial = 0.7,
+            |s| s.duration = 0.5,
+            |s| s.deadline = Some(0.01),
+        ];
+        let mut per_topology = Vec::new();
+        for regulator in TOPOLOGIES {
+            let base = ScenarioSpec {
+                regulator,
+                ..ScenarioSpec::baseline(1.0)
+            };
+            for perturb in perturbations {
+                let mut spec = base.clone();
+                perturb(&mut spec);
+                assert_ne!(spec, base);
+                assert_eq!(inputs(&spec), inputs(&base), "{spec:?}");
+            }
+            per_topology.push(inputs(&base));
+        }
+        per_topology.sort();
+        per_topology.dedup();
+        assert_eq!(per_topology.len(), 3, "each topology calibrates its own");
     }
 
     #[test]

@@ -96,7 +96,7 @@ echo "== conformance: goldens + fuzz (writes $scratch/BENCH_conformance.json) ==
 cargo run --release -q -p hems-conformance -- --check
 cargo run --release -q -p hems-conformance -- --corpus
 cargo run --release -q -p hems-conformance -- --self-test
-cargo run --release -q -p hems-conformance -- --fuzz --seed 7 --cases 500 \
+cargo run --release -q -p hems-conformance -- --fuzz --seed 7 --cases 1000 \
     --budget-ms 120000 --out "$scratch/BENCH_conformance.json"
 python3 - <<'EOF'
 import json
@@ -106,7 +106,7 @@ oracles = report["oracles"]
 assert len(oracles) >= 6, f"only {len(oracles)} oracles ran"
 for oracle in oracles:
     name, cases = oracle["name"], oracle["cases"]
-    assert cases >= 500, f"oracle {name} ran only {cases} cases"
+    assert cases >= 1000, f"oracle {name} ran only {cases} cases"
     assert oracle["divergences"] == 0, f"oracle {name} diverged"
 total = sum(o["cases"] for o in oracles)
 rate = total / (report["total_wall_ms"] / 1e3)
