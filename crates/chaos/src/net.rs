@@ -36,9 +36,10 @@ use hems_serve::client::{Client, RetryPolicy};
 use hems_serve::json::Value;
 use hems_serve::proto::{QueryKind, Request, ScenarioSpec};
 use hems_serve::server::{serve, ServeConfig};
+use hems_serve::wire::{accept_streams, send_line, AcceptStop};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Duration;
@@ -92,7 +93,7 @@ pub(crate) enum ConnFault {
 /// `Ok(None)` is EOF.
 fn read_line_patient(
     reader: &mut BufReader<TcpStream>,
-    stop: &AtomicBool,
+    stop: &AcceptStop,
 ) -> std::io::Result<Option<String>> {
     let mut line = String::new();
     loop {
@@ -107,7 +108,7 @@ fn read_line_patient(
             {
                 // Partial bytes stay buffered in `line`; keep waiting
                 // unless the proxy is shutting down.
-                if stop.load(Ordering::SeqCst) {
+                if stop.is_stopped() {
                     return Ok(None);
                 }
             }
@@ -119,7 +120,7 @@ fn read_line_patient(
 
 /// One proxied connection, relayed frame-by-frame on a single thread
 /// (the protocol is one request in flight per connection).
-fn relay(client: TcpStream, upstream_addr: SocketAddr, fault: ConnFault, stop: Arc<AtomicBool>) {
+fn relay(client: TcpStream, upstream_addr: SocketAddr, fault: ConnFault, stop: AcceptStop) {
     let run = || -> std::io::Result<()> {
         let upstream = TcpStream::connect(upstream_addr)?;
         let poll = Some(Duration::from_millis(50));
@@ -137,12 +138,10 @@ fn relay(client: TcpStream, upstream_addr: SocketAddr, fault: ConnFault, stop: A
             if fault == ConnFault::TearRequest {
                 let cut = request.len().saturating_sub(request.len() / 3).max(1);
                 to_upstream.write_all(request.as_bytes().get(..cut).unwrap_or(b"{"))?;
-                to_upstream.flush()?;
                 // Close both directions: the server sees EOF mid-frame.
                 return Ok(());
             }
             to_upstream.write_all(request.as_bytes())?;
-            to_upstream.flush()?;
             let Some(response) = read_line_patient(&mut from_upstream, &stop)? else {
                 return Ok(());
             };
@@ -150,17 +149,14 @@ fn relay(client: TcpStream, upstream_addr: SocketAddr, fault: ConnFault, stop: A
                 ConnFault::TearResponse => {
                     let cut = (response.len() / 2).max(1);
                     to_client.write_all(response.as_bytes().get(..cut).unwrap_or(b"{"))?;
-                    to_client.flush()?;
                     return Ok(());
                 }
                 ConnFault::Delay(ms) => {
                     thread::sleep(Duration::from_millis(ms));
                     to_client.write_all(response.as_bytes())?;
-                    to_client.flush()?;
                 }
                 _ => {
                     to_client.write_all(response.as_bytes())?;
-                    to_client.flush()?;
                 }
             }
             frames += 1;
@@ -183,7 +179,7 @@ fn relay(client: TcpStream, upstream_addr: SocketAddr, fault: ConnFault, stop: A
 /// A TCP proxy that injects one scripted fault per connection.
 pub(crate) struct ChaosProxy {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    stop: AcceptStop,
     acceptor: Option<thread::JoinHandle<()>>,
     faulted: Arc<AtomicU64>,
 }
@@ -198,37 +194,25 @@ impl ChaosProxy {
         let addr = listener
             .local_addr()
             .map_err(|e| ChaosError::new("net: proxy addr", e.to_string()))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| ChaosError::new("net: proxy nonblocking", e.to_string()))?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = AcceptStop::for_listener(&listener)
+            .map_err(|e| ChaosError::new("net: proxy addr", e.to_string()))?;
         let faulted = Arc::new(AtomicU64::new(0));
         let acceptor = {
-            let stop = Arc::clone(&stop);
+            let stop = stop.clone();
             let faulted = Arc::clone(&faulted);
-            thread::Builder::new()
-                .name("hems-chaos-proxy".to_string())
-                .spawn(move || {
-                    let mut next = 0usize;
-                    while !stop.load(Ordering::SeqCst) {
-                        match listener.accept() {
-                            Ok((conn, _)) => {
-                                let fault =
-                                    script.get(next).copied().unwrap_or(ConnFault::PassThen(4));
-                                next += 1;
-                                if !matches!(fault, ConnFault::PassThen(_)) {
-                                    faulted.fetch_add(1, Ordering::SeqCst);
-                                }
-                                let stop = Arc::clone(&stop);
-                                let _ = thread::Builder::new()
-                                    .name("hems-chaos-relay".to_string())
-                                    .spawn(move || relay(conn, upstream, fault, stop));
-                            }
-                            Err(_) => thread::sleep(Duration::from_millis(5)),
-                        }
-                    }
-                })
-                .map_err(|e| ChaosError::new("net: proxy spawn", e.to_string()))?
+            let mut next = 0usize;
+            accept_streams(listener, "hems-chaos-proxy", stop.clone(), move |conn| {
+                let fault = script.get(next).copied().unwrap_or(ConnFault::PassThen(4));
+                next += 1;
+                if !matches!(fault, ConnFault::PassThen(_)) {
+                    faulted.fetch_add(1, Ordering::SeqCst);
+                }
+                let stop = stop.clone();
+                let _ = thread::Builder::new()
+                    .name("hems-chaos-relay".to_string())
+                    .spawn(move || relay(conn, upstream, fault, stop));
+            })
+            .map_err(|e| ChaosError::new("net: proxy spawn", e.to_string()))?
         };
         Ok(ChaosProxy {
             addr,
@@ -247,7 +231,7 @@ impl ChaosProxy {
     }
 
     pub(crate) fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.stop();
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
@@ -380,10 +364,7 @@ fn attack_wave(
     let mid_response = (|| -> std::io::Result<()> {
         let mut s = TcpStream::connect(server_addr)?;
         let (kind, spec) = scenario_for(0); // cached by the first phase
-        let line = Request::render_line(4, kind, Some(&spec));
-        s.write_all(line.as_bytes())?;
-        s.write_all(b"\n")?;
-        s.flush()
+        send_line(&mut s, &Request::render_line(4, kind, Some(&spec)))
         // Dropped here: the server's response hits a closed socket.
     })()
     .is_ok();

@@ -10,7 +10,7 @@
 //! Intentional changes are re-captured with the binary's `--bless`.
 
 use std::fs;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 
@@ -24,6 +24,7 @@ use hems_regulator::ScRegulator;
 use hems_serve::planner::{self, PlanJob};
 use hems_serve::proto::RegulatorChoice;
 use hems_serve::server::{serve, ServeConfig};
+use hems_serve::wire;
 use hems_serve::{json, QueryKind, Request, ScenarioSpec, Value};
 use hems_sim::sweep::{run_scenario, run_scenarios_batch};
 use hems_sim::{FixedVoltageController, LightProfile, Simulation, SystemConfig};
@@ -273,8 +274,7 @@ fn serve_fixture() -> Result<Fixture, ConformanceError> {
     let mut handle = serve("127.0.0.1:0", config).map_err(|e| infra(e.to_string()))?;
     let exchange = || -> Result<Vec<String>, ConformanceError> {
         let stream = TcpStream::connect(handle.addr()).map_err(|e| infra(e.to_string()))?;
-        let mut writer = stream.try_clone().map_err(|e| infra(e.to_string()))?;
-        let mut reader = BufReader::new(stream);
+        let mut conn = BufReader::new(stream);
         let mut requests = Vec::new();
         for (i, kind) in [
             QueryKind::OptimalPoint,
@@ -307,18 +307,12 @@ fn serve_fixture() -> Result<Fixture, ConformanceError> {
         // A malformed request: the error rendering is part of the wire
         // contract.
         requests.push("{\"id\":\"fx-bad\",\"query\":\"optimal_point\"}".to_string());
-        let mut lines = Vec::new();
-        for request in requests {
-            writer
-                .write_all(format!("{request}\n").as_bytes())
-                .map_err(|e| infra(e.to_string()))?;
-            let mut line = String::new();
-            reader
-                .read_line(&mut line)
-                .map_err(|e| infra(e.to_string()))?;
-            lines.push(line.trim_end().to_string());
-        }
-        Ok(lines)
+        requests
+            .iter()
+            .map(|request| {
+                wire::exchange(&mut conn, request, 1 << 20).map_err(|e| infra(e.to_string()))
+            })
+            .collect()
     };
     let lines = exchange();
     handle.shutdown();

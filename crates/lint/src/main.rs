@@ -109,6 +109,7 @@ fn main() -> ExitCode {
             ("wall_ms", Value::Num(wall_ms as f64)),
             ("functions", count(passes.functions)),
             ("edges", count(passes.edges)),
+            ("lock_sites", count(passes.lock_sites)),
             (
                 "passes",
                 Value::obj(vec![

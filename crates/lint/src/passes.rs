@@ -9,8 +9,9 @@
 //!    the helper one-or-more calls deep in a physics crate. The finding
 //!    prints the witness call chain.
 //! 2. **Lock-order analysis** (`lock_order`) — records the partial
-//!    order of mutex acquisitions held across call edges in the
-//!    serve/pool/obs planes and flags (a) any cycle in that order (a
+//!    order of mutex acquisitions (`.lock()` and the shared
+//!    `hems_obs::relock(&m)` helper) held across call edges in the
+//!    serve/router/pool/obs planes and flags (a) any cycle in that order (a
 //!    potential deadlock) and (b) a lock held across a blocking call
 //!    (`.recv()`, socket writes, `thread::sleep`, ...).
 //! 3. **Determinism taint** (`taint`) — seeds nondeterminism sources
@@ -26,11 +27,11 @@
 //! lexical and the transitive view of the same construct).
 
 use crate::callgraph::{self, Graph};
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
 use crate::parser::{CallKind, CallSite, FnItem, ParsedFile};
 use crate::report::Finding;
 use crate::rules;
-use crate::source::SourceFile;
+use crate::source::{next_significant, paren_group, SourceFile};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Per-pass finding counts and call-graph size, surfaced in the
@@ -43,6 +44,8 @@ pub struct PassCounts {
     pub lock_order: usize,
     /// `taint` finding count.
     pub taint: usize,
+    /// Lock acquisitions the `lock_order` pass modelled in its scope.
+    pub lock_sites: usize,
     /// Call-graph size: non-test functions.
     pub functions: usize,
     /// Call-graph size: resolved call edges.
@@ -67,6 +70,7 @@ fn is_panic_root(rel: &str) -> bool {
 /// Files in scope for the lock-order pass.
 fn lock_scope(rel: &str) -> bool {
     rel.starts_with("crates/serve/src/")
+        || rel.starts_with("crates/router/src/")
         || rel.starts_with("crates/sim/src/")
         || rel.starts_with("crates/obs/src/")
 }
@@ -106,6 +110,10 @@ const BLOCKING_METHODS: [&str; 9] = [
     "send_timeout",
     "write_all",
 ];
+
+/// The workspace's one poison-recovering lock helper
+/// (`hems_obs::relock`): a call is an acquisition of its argument.
+const LOCK_HELPER: &str = "relock";
 
 /// Hash-ordered collection type names.
 const HASH_TYPES: [&str; 2] = ["HashMap", "HashSet"];
@@ -369,7 +377,7 @@ struct LockFacts {
 }
 
 /// `crate:<name>` lock identity for the receiver of a `.lock()` call
-/// (or the argument of a `lock(..)` helper call).
+/// (or the argument of a `lock(..)` / `relock(..)` helper call).
 fn lock_identity(crate_key: &str, name: &str) -> String {
     let short = crate_key.strip_prefix("crates/").unwrap_or(crate_key);
     format!("{short}:{name}")
@@ -383,6 +391,11 @@ fn lock_facts(ctx: &Ctx, id: usize) -> LockFacts {
     let Some((lo, hi)) = f.body else {
         return LockFacts::default();
     };
+    if f.name == LOCK_HELPER {
+        // The helper's own `.lock()` is modelled at each call site,
+        // under the identity of the mutex passed in.
+        return LockFacts::default();
+    }
     let crate_key = rules::crate_key(&file.rel_path);
     let mut facts = LockFacts::default();
     let depths = body_depths(file, lo, hi);
@@ -392,7 +405,8 @@ fn lock_facts(ctx: &Ctx, id: usize) -> LockFacts {
             .copied()
             .unwrap_or(1);
         let is_lock_method = call.kind == CallKind::Method && call.name == "lock";
-        let is_lock_helper = call.kind == CallKind::Free && call.name == "lock";
+        let is_lock_helper =
+            call.kind == CallKind::Free && (call.name == "lock" || call.name == LOCK_HELPER);
         if is_lock_method || is_lock_helper {
             let raw = if is_lock_helper {
                 last_arg_ident(file, call.token_index)
@@ -422,14 +436,15 @@ fn lock_facts(ctx: &Ctx, id: usize) -> LockFacts {
 }
 
 /// `true` when the call blocks the thread: a blocking-named method, a
-/// `thread::sleep`, or a `TcpStream::connect`.
+/// `thread::sleep`, or a `TcpStream::connect{,_timeout}`.
 fn is_blocking_call(call: &CallSite) -> bool {
     match call.kind {
         CallKind::Method => BLOCKING_METHODS.contains(&call.name.as_str()),
         CallKind::Free => {
             let last = call.path.last().map(String::as_str);
             (call.name == "sleep" && last == Some("thread"))
-                || (call.name == "connect" && last == Some("TcpStream"))
+                || (matches!(call.name.as_str(), "connect" | "connect_timeout")
+                    && last == Some("TcpStream"))
         }
     }
 }
@@ -453,43 +468,36 @@ fn body_depths(file: &SourceFile, lo: usize, hi: usize) -> Vec<usize> {
     depths
 }
 
-/// The last identifier inside the call's parenthesized arguments that
-/// is not `self` — `lock(&self.injector.queue)` → `queue`.
-fn last_arg_ident(file: &SourceFile, name_index: usize) -> Option<String> {
-    let tokens = &file.tokens;
-    let mut i = name_index + 1;
-    while tokens.get(i).is_some_and(|t| t.is_comment()) {
-        i += 1;
-    }
-    if !tokens
-        .get(i)
-        .is_some_and(|t| t.kind == TokenKind::Punct && t.text == "(")
-    {
-        return None;
-    }
-    let mut depth = 0usize;
-    let mut last = None;
-    while let Some(t) = tokens.get(i) {
-        match (t.kind, t.text.as_str()) {
-            (TokenKind::Punct, "(") => depth += 1,
-            (TokenKind::Punct, ")") => {
-                depth -= 1;
-                if depth == 0 {
-                    return last;
-                }
-            }
-            (TokenKind::Ident, name) if name != "self" => last = Some(name.to_string()),
-            _ => {}
-        }
-        i += 1;
-    }
-    last
+/// Identifiers among the arguments of the call named at `name_index`.
+fn arg_idents(tokens: &[Token], name_index: usize) -> impl Iterator<Item = &str> {
+    let (open, close) = paren_group(tokens, name_index + 1).unwrap_or_default();
+    tokens
+        .get(open..close)
+        .unwrap_or_default()
+        .iter()
+        .filter(|t| t.kind == TokenKind::Ident)
+        .map(|t| t.text.as_str())
 }
 
-/// The `let NAME = ..` binding introducing the statement that contains
-/// the call at `at`, scanning back to the statement boundary.
+/// The last argument identifier that is not `self` —
+/// `relock(&self.injector.queue)` → `queue`.
+fn last_arg_ident(file: &SourceFile, name_index: usize) -> Option<String> {
+    arg_idents(&file.tokens, name_index)
+        .filter(|name| *name != "self")
+        .last()
+        .map(str::to_string)
+}
+
+/// The `let NAME = ..` binding holding the guard acquired by the call at
+/// `at`, scanning back to the statement boundary. Only a guard that *is*
+/// the initializer is bound (`let g = relock(&m);`); in
+/// `let n = relock(&m).len();` or `let c = match relock(&m).pop() {..};`
+/// the guard is a temporary of the statement.
 fn let_binding_of(file: &SourceFile, at: usize, floor: usize) -> Option<String> {
     let tokens = &file.tokens;
+    if !initializer_is_guard(tokens, at) {
+        return None;
+    }
     let mut i = at;
     let mut after_let: Option<String> = None;
     while i > floor {
@@ -507,6 +515,31 @@ fn let_binding_of(file: &SourceFile, at: usize, floor: usize) -> Option<String> 
         }
     }
     None
+}
+
+/// Methods through which a lock result still reaches the binding as the
+/// guard itself (`m.lock().unwrap()`).
+const GUARD_PASSTHROUGH: [&str; 3] = ["expect", "unwrap", "unwrap_or_else"];
+
+/// `true` when nothing but [`GUARD_PASSTHROUGH`] calls and `?` follow the
+/// acquisition call at `at` before the statement's `;`.
+fn initializer_is_guard(tokens: &[Token], at: usize) -> bool {
+    let mut next = paren_group(tokens, at + 1).map(|(_, close)| close + 1);
+    while let Some((i, t)) = next.and_then(|n| next_significant(tokens, n)) {
+        if t.kind != TokenKind::Punct {
+            return false;
+        }
+        next = match t.text.as_str() {
+            ";" => return true,
+            "?" => Some(i + 1),
+            "." => next_significant(tokens, i + 1)
+                .filter(|(_, m)| GUARD_PASSTHROUGH.contains(&m.text.as_str()))
+                .and_then(|(m, _)| paren_group(tokens, m + 1))
+                .map(|(_, close)| close + 1),
+            _ => return false,
+        };
+    }
+    false
 }
 
 /// One ordered lock pair with its witness site.
@@ -567,6 +600,7 @@ fn lock_order_pass(ctx: &Ctx, result: &mut PassResult) {
         if !lock_scope(&file.rel_path) {
             continue;
         }
+        result.counts.lock_sites += fact.acquisitions.len();
         let Some((lo, hi)) = f.body else { continue };
         let depths = body_depths(file, lo, hi);
         for acq in &fact.acquisitions {
@@ -702,33 +736,8 @@ fn live_range(
 }
 
 /// `true` when the call at `at` has `ident` among its argument tokens.
-fn consumes_ident(tokens: &[crate::lexer::Token], at: usize, ident: &str) -> bool {
-    let mut i = at + 1;
-    while tokens.get(i).is_some_and(|t| t.is_comment()) {
-        i += 1;
-    }
-    if !tokens
-        .get(i)
-        .is_some_and(|t| t.kind == TokenKind::Punct && t.text == "(")
-    {
-        return false;
-    }
-    let mut depth = 0usize;
-    while let Some(t) = tokens.get(i) {
-        match (t.kind, t.text.as_str()) {
-            (TokenKind::Punct, "(") => depth += 1,
-            (TokenKind::Punct, ")") => {
-                depth -= 1;
-                if depth == 0 {
-                    return false;
-                }
-            }
-            (TokenKind::Ident, name) if name == ident => return true,
-            _ => {}
-        }
-        i += 1;
-    }
-    false
+fn consumes_ident(tokens: &[Token], at: usize, ident: &str) -> bool {
+    arg_idents(tokens, at).any(|name| name == ident)
 }
 
 /// Detects cycles in the held-before order and reports each once.

@@ -26,7 +26,7 @@
 use crate::lexer::{Token, TokenKind};
 use crate::parser::ParsedFile;
 use crate::report::Finding;
-use crate::source::{next_significant, prev_significant, SourceFile};
+use crate::source::{next_significant, paren_group, prev_significant, SourceFile};
 use std::collections::HashSet;
 
 /// Allowlists for the `units` and `timing` rules.
@@ -416,21 +416,8 @@ fn scan_units(file: &SourceFile, cfg: &RuleConfig, findings: &mut Vec<Finding>) 
 fn parse_pub_fn(tokens: &[Token], pub_index: usize) -> Option<(String, u32, usize)> {
     let (mut i, mut token) = next_significant(tokens, pub_index + 1)?;
     // pub(crate) / pub(in path)
-    if token.kind == TokenKind::Punct && token.text == "(" {
-        let mut depth = 0usize;
-        while let Some(t) = tokens.get(i) {
-            if t.kind == TokenKind::Punct && t.text == "(" {
-                depth += 1;
-            }
-            if t.kind == TokenKind::Punct && t.text == ")" {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            i += 1;
-        }
-        (i, token) = next_significant(tokens, i + 1)?;
+    if let Some((_, close)) = paren_group(tokens, i) {
+        (i, token) = next_significant(tokens, close + 1)?;
     }
     while token.kind == TokenKind::Ident && matches!(token.text.as_str(), "const" | "async") {
         (i, token) = next_significant(tokens, i + 1)?;

@@ -189,6 +189,29 @@ pub fn next_significant(tokens: &[Token], from: usize) -> Option<(usize, &Token)
     None
 }
 
+/// `(open, close)` token indices of the parenthesized group whose `(` is
+/// the first code token at or after `from`.
+pub fn paren_group(tokens: &[Token], from: usize) -> Option<(usize, usize)> {
+    let (open, t) = next_significant(tokens, from)?;
+    if !(t.kind == TokenKind::Punct && t.text == "(") {
+        return None;
+    }
+    let mut depth = 0usize;
+    for (i, t) in tokens.iter().enumerate().skip(open) {
+        match (t.kind, t.text.as_str()) {
+            (TokenKind::Punct, "(") => depth += 1,
+            (TokenKind::Punct, ")") => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some((open, i));
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
 /// The previous non-comment token strictly before `before`.
 pub fn prev_significant(tokens: &[Token], before: usize) -> Option<(usize, &Token)> {
     let mut i = before;

@@ -174,6 +174,70 @@ fn lock_held_across_blocking_recv_fires() {
 }
 
 #[test]
+fn relock_held_across_a_sleep_fires() {
+    let result = run(&[(
+        "crates/serve/src/bad_relock.rs",
+        "pub fn depth(s: &Shared) -> usize {\n\
+         let q = relock(&s.queue);\n\
+         thread::sleep(Duration::from_millis(1));\n\
+         q.len()\n}",
+    )]);
+    assert_eq!(
+        result.counts.lock_order,
+        1,
+        "{}",
+        rendered(&result.findings)
+    );
+    let f = &result.findings[0];
+    assert!(f.message.contains("serve:queue"), "{}", f.message);
+    assert!(f.message.contains("sleep"), "{}", f.message);
+    assert_eq!(result.counts.lock_sites, 1);
+}
+
+#[test]
+fn relock_match_scrutinee_held_across_a_dial_fires() {
+    // The scrutinee's guard lives to the end of the `match`, so the dial
+    // in the arm runs under the pool lock (router scope).
+    let result = run(&[(
+        "crates/router/src/bad_pool.rs",
+        "pub fn checkout(b: &Backend) -> Conn {\n\
+         let conn = match relock(&b.idle).pop() {\n\
+         Some(conn) => conn,\n\
+         None => TcpStream::connect(b.addr).unwrap_or_default(),\n\
+         };\n\
+         conn\n}",
+    )]);
+    assert_eq!(
+        result.counts.lock_order,
+        1,
+        "{}",
+        rendered(&result.findings)
+    );
+    let f = &result.findings[0];
+    assert!(f.message.contains("router:idle"), "{}", f.message);
+    assert!(f.message.contains("connect"), "{}", f.message);
+}
+
+#[test]
+fn relock_temporary_in_a_let_dies_with_its_statement() {
+    // `n` holds the length, not the guard: the sleep runs unlocked.
+    let result = run(&[(
+        "crates/serve/src/fine_relock.rs",
+        "pub fn depth(s: &Shared) -> usize {\n\
+         let n = relock(&s.queue).len();\n\
+         thread::sleep(Duration::from_millis(1));\n\
+         n\n}",
+    )]);
+    assert_eq!(
+        result.counts.lock_order,
+        0,
+        "{}",
+        rendered(&result.findings)
+    );
+    assert_eq!(result.counts.lock_sites, 1);
+}
+
+#[test]
 fn lock_outside_service_scope_is_ignored() {
     // Same deadlock shape, but in a physics crate: out of scope.
     let result = run(&[("crates/pv/src/locks.rs", LOCK_CYCLE)]);

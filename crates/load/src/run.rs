@@ -28,7 +28,7 @@ use crate::workload::Arrival;
 use hems_bench::harness::percentile;
 use hems_obs::clock::monotonic_ns;
 use hems_serve::json::{self, Value};
-use hems_serve::wire::{read_line_bounded, send_line};
+use hems_serve::wire::exchange;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -283,21 +283,6 @@ fn worker(
         }
     }
     report
-}
-
-fn exchange(
-    conn: &mut BufReader<TcpStream>,
-    line: &str,
-    max_line_bytes: usize,
-) -> io::Result<String> {
-    send_line(conn.get_mut(), line)?;
-    match read_line_bounded(conn, max_line_bytes)? {
-        Some(response) => Ok(response),
-        None => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "target closed the connection mid-request",
-        )),
-    }
 }
 
 fn tally(report: &mut WorkerReport, response: &str) {

@@ -40,9 +40,11 @@ pub mod metrics;
 pub mod registry;
 pub mod snapshot;
 pub mod span;
+pub mod sync;
 
 pub use clock::{monotonic_ns, Clock, ManualClock, MonotonicClock};
 pub use metrics::{enabled, set_enabled, Counter, Gauge, Histogram};
 pub use registry::{global, Registry};
 pub use snapshot::{Bucket, HistogramSnapshot, Series, SeriesData, Snapshot};
 pub use span::SpanGuard;
+pub use sync::{relock, Latch};

@@ -13,6 +13,7 @@ use crate::clock::{Clock, MonotonicClock};
 use crate::metrics::{Counter, Gauge, Histogram};
 use crate::snapshot::{Series, SeriesData, Snapshot};
 use crate::span::SpanGuard;
+use crate::sync::relock;
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
 
@@ -66,12 +67,7 @@ impl Registry {
     }
 
     fn lock(&self) -> MutexGuard<'_, HashMap<String, Metric>> {
-        // A poisoned registry still holds structurally valid metric
-        // handles (updates are atomic), so recover the guard.
-        match self.metrics.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        relock(&self.metrics)
     }
 
     /// The registry clock's current reading.

@@ -239,6 +239,28 @@ impl Snapshot {
         ])
     }
 
+    /// Rebuilds a snapshot from its [`Snapshot::to_value`] tree (e.g. a
+    /// `metrics` answer parsed off the wire). The tree is integer-only,
+    /// so the round trip is exact; series of unrecognized shape are
+    /// skipped. `None` when the tree is not a snapshot at all.
+    pub fn from_value(value: &Value) -> Option<Snapshot> {
+        let at_ns = value.get("at_ns")?.as_f64()? as u64;
+        let Some(Value::Obj(fields)) = value.get("series") else {
+            return None;
+        };
+        let mut series: Vec<Series> = fields
+            .iter()
+            .filter_map(|(name, body)| {
+                Some(Series {
+                    name: name.clone(),
+                    data: series_from_value(body)?,
+                })
+            })
+            .collect();
+        series.sort_by(|a, b| a.name.cmp(&b.name));
+        Some(Snapshot { at_ns, series })
+    }
+
     /// [`Snapshot::to_value`] rendered as compact JSON.
     pub fn render(&self) -> String {
         self.to_value().render()
@@ -291,6 +313,36 @@ fn series_value(data: &SeriesData) -> Value {
                 ("buckets", Value::Arr(buckets)),
             ])
         }
+    }
+}
+
+/// Inverse of [`series_value`]; the derived `p50`/`p95` fields are
+/// recomputed from the buckets, not read.
+fn series_from_value(body: &Value) -> Option<SeriesData> {
+    let field = |name: &str| body.get(name).and_then(Value::as_f64);
+    match body.get("kind")?.as_str()? {
+        "counter" => Some(SeriesData::Counter(field("value")? as u64)),
+        "gauge" => Some(SeriesData::Gauge(field("value")? as i64)),
+        "histogram" => {
+            let mut buckets = Vec::new();
+            for entry in body.get("buckets")?.as_arr()? {
+                let edges = entry.as_arr()?;
+                let at = |i: usize| edges.get(i).and_then(Value::as_f64);
+                buckets.push(Bucket {
+                    lo: at(0)? as u64,
+                    hi: at(1)? as u64,
+                    n: at(2)? as u64,
+                });
+            }
+            Some(SeriesData::Histogram(HistogramSnapshot {
+                count: field("count")? as u64,
+                sum: field("sum")? as u64,
+                min: field("min")? as u64,
+                max: field("max")? as u64,
+                buckets,
+            }))
+        }
+        _ => None,
     }
 }
 
@@ -441,6 +493,31 @@ mod tests {
         for line in lines.lines() {
             assert!(line.starts_with("{\"at_ns\":5,\"name\":"));
         }
+    }
+
+    #[test]
+    fn from_value_inverts_to_value() {
+        let snap = Snapshot {
+            at_ns: 77,
+            series: vec![
+                Series {
+                    name: "a.counter".into(),
+                    data: SeriesData::Counter(12),
+                },
+                Series {
+                    name: "b.gauge".into(),
+                    data: SeriesData::Gauge(-4),
+                },
+                Series {
+                    name: "c.histogram".into(),
+                    data: SeriesData::Histogram(sample_hist(&[1, 5, 900, 40_000])),
+                },
+            ],
+        };
+        assert_eq!(Snapshot::from_value(&snap.to_value()), Some(snap.clone()));
+        let wire = crate::json::parse(&snap.render()).expect("renders valid JSON");
+        assert_eq!(Snapshot::from_value(&wire), Some(snap));
+        assert_eq!(Snapshot::from_value(&Value::Null), None);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! machine between attempts.
 
 use crate::health::Health;
-use crate::sync::relock;
-use hems_serve::wire::{read_line_bounded, send_line};
+use hems_obs::relock;
+use hems_serve::wire::exchange;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -91,7 +91,7 @@ impl Backend {
         stream.set_write_timeout(Some(dial.request_timeout))?;
         let mut conn = BufReader::new(stream);
         if let Some(expected) = dial.expect_shard {
-            let response = round_trip(
+            let response = exchange(
                 &mut conn,
                 "{\"id\":\"hems-router-handshake\",\"query\":\"stats\"}",
                 dial.max_line_bytes,
@@ -122,11 +122,14 @@ impl Backend {
     ///
     /// Dial, handshake, write, deadline, or EOF errors from the attempt.
     pub fn forward(&self, line: &str, dial: &DialConfig) -> io::Result<String> {
-        let mut conn = match relock(&self.idle).pop() {
+        // Pop first: a `match` on `relock(..).pop()` would keep the pool
+        // guard alive through the dial and its handshake below.
+        let pooled = relock(&self.idle).pop();
+        let mut conn = match pooled {
             Some(conn) => conn,
             None => self.connect(dial)?,
         };
-        let response = round_trip(&mut conn, line, dial.max_line_bytes)?;
+        let response = exchange(&mut conn, line, dial.max_line_bytes)?;
         let mut idle = relock(&self.idle);
         if idle.len() < POOL_CAP {
             idle.push(conn);
@@ -147,7 +150,7 @@ impl Backend {
             // `connect` already round-tripped the handshake.
             return true;
         }
-        round_trip(
+        exchange(
             &mut conn,
             "{\"id\":\"hems-router-probe\",\"query\":\"stats\"}",
             dial.max_line_bytes,
@@ -161,26 +164,14 @@ impl Backend {
     }
 }
 
-/// Writes one line and reads one line on a pooled connection.
-fn round_trip(
-    conn: &mut BufReader<TcpStream>,
-    line: &str,
-    max_line_bytes: usize,
-) -> io::Result<String> {
-    send_line(conn.get_mut(), line)?;
-    match read_line_bounded(conn, max_line_bytes)? {
-        Some(response) => Ok(response),
-        None => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "backend closed the connection mid-request",
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hems_obs::clock::monotonic_ns;
     use hems_serve::{serve, ServeConfig};
+    use std::net::TcpListener;
+    use std::sync::Arc;
+    use std::thread;
 
     fn dial(expect_shard: Option<u64>) -> DialConfig {
         DialConfig {
@@ -226,6 +217,32 @@ mod tests {
             .expect("second");
         assert!(b.contains("\"id\":2"));
         assert_eq!(backend.forwarded.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn a_dial_in_progress_does_not_hold_the_pool_lock() {
+        // A backend that accepts but never answers the identity handshake:
+        // the forward below sits in its dial for the whole request timeout.
+        let silent = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let backend = Arc::new(Backend::new(silent.local_addr().expect("addr")));
+        let request_timeout = Duration::from_millis(800);
+        let forwarder = {
+            let backend = Arc::clone(&backend);
+            let d = DialConfig {
+                request_timeout,
+                ..dial(Some(0))
+            };
+            thread::spawn(move || backend.forward("{\"id\":1,\"query\":\"stats\"}", &d))
+        };
+        let (_held, _) = silent.accept().expect("the forward dials");
+        let started = monotonic_ns();
+        backend.clear_pool();
+        let waited = Duration::from_nanos(monotonic_ns().saturating_sub(started));
+        assert!(
+            waited < request_timeout / 4,
+            "clear_pool waited {waited:?} behind a dial"
+        );
+        assert!(forwarder.join().expect("forwarder").is_err());
     }
 
     #[test]

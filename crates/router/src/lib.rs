@@ -49,14 +49,3 @@ pub use health::{HealthPolicy, HealthState};
 pub use ring::HashRing;
 pub use server::{route, RouterConfig, RouterHandle};
 pub use stats::RouterStats;
-
-pub(crate) mod sync {
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    /// Locks `mutex`, recovering the guard if a previous holder
-    /// panicked. Router state (pools, health records, addresses) stays
-    /// structurally valid across an unwind, so recovery is always safe.
-    pub(crate) fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-        mutex.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}

@@ -1,19 +1,23 @@
-//! The routing front tier: acceptor, per-connection forwarders, and the
-//! seeded health prober.
+//! The routing front tier: the forwarding line handler and the seeded
+//! health prober, on the shared line-server skeleton in
+//! `hems_serve::wire`.
 //!
 //! ## Thread anatomy
 //!
+//! The skeleton owns the acceptor and one connection thread per client;
+//! this module supplies the per-line handler and the prober:
+//!
 //! ```text
-//! acceptor ──► forwarder (one per client connection)
-//!                │  parse → stats/metrics/reconfig/shutdown inline
-//!                │  plan query → canonical key → ring → shard slot
-//!                │     admission full → overloaded (explicit)
-//!                │     forward verbatim ──► backend pool ──► relay verbatim
-//!                │     IO failure → health, backoff, re-route, retry
-//!                ▼
-//!              client ◄── response line (byte-identical to direct serve)
-//! prober  ──► per-shard stats round trip every jittered interval
-//!                │  drives eject / half-open / rejoin (health machine)
+//! forwarder (the line handler, on the connection thread)
+//!    │  parse → stats/metrics/reconfig/shutdown inline
+//!    │  plan query → canonical key → ring → shard slot
+//!    │     admission full → overloaded (explicit)
+//!    │     forward verbatim ──► backend pool ──► relay verbatim
+//!    │     IO failure → health, backoff, re-route, retry
+//!    ▼
+//!  LineWriter ◄── response line (byte-identical to direct serve)
+//! prober ──► per-shard stats round trip every jittered interval
+//!    │  drives eject / half-open / rejoin (health machine)
 //! ```
 //!
 //! ## Verbatim relay
@@ -36,20 +40,20 @@ use crate::backend::{Backend, DialConfig};
 use crate::health::{HealthPolicy, Transition};
 use crate::ring::HashRing;
 use crate::stats::RouterStats;
-use crate::sync::relock;
 use hems_obs::clock::monotonic_ns;
-use hems_obs::snapshot::{Bucket, HistogramSnapshot, Series, SeriesData, Snapshot};
+use hems_obs::snapshot::Snapshot;
+use hems_obs::{relock, Latch};
 use hems_serve::json::{self, Value};
 use hems_serve::proto::{
     error_response, ok_response, overloaded_response, retryable_error_response, QueryKind, Request,
     ScenarioSpec,
 };
-use hems_serve::wire::{is_timeout, read_line_bounded, send_line};
+use hems_serve::wire::{self, AcceptStop, LinePolicy, LineWriter};
 use hems_units::XorShiftRng;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -134,10 +138,11 @@ struct Shared {
     ring: HashRing,
     slots: Vec<Backend>,
     stats: RouterStats,
-    accepting: AtomicBool,
-    /// Flipped (and broadcast) when shutdown begins; the prober sleeps
-    /// on it so shutdown is prompt.
-    stop_cv: (Mutex<bool>, Condvar),
+    /// Raised on shutdown: the acceptor exits.
+    stop: AcceptStop,
+    /// Opened when shutdown begins; the prober sleeps on it so shutdown
+    /// is prompt.
+    stopped: Latch,
     conn_seq: AtomicU64,
 }
 
@@ -157,10 +162,8 @@ impl Shared {
     }
 
     fn begin_shutdown(&self) {
-        self.accepting.store(false, Ordering::SeqCst);
-        let (lock, cv) = &self.stop_cv;
-        *relock(lock) = true;
-        cv.notify_all();
+        self.stop.stop();
+        self.stopped.open();
         for slot in &self.slots {
             slot.clear_pool();
         }
@@ -233,62 +236,12 @@ impl Shared {
             let Ok(parsed) = json::parse(&response) else {
                 continue;
             };
-            let Some(snapshot) = parsed.get("result").and_then(snapshot_from_value) else {
+            let Some(snapshot) = parsed.get("result").and_then(Snapshot::from_value) else {
                 continue;
             };
             merged = merged.merged(snapshot.with_prefix(&format!("shard{i}")));
         }
         merged
-    }
-}
-
-/// Rebuilds an obs [`Snapshot`] from the `metrics` verb's JSON render.
-/// The render is integer-only by contract, so `f64` round trips are
-/// exact; series whose shape is unrecognized are skipped.
-fn snapshot_from_value(value: &Value) -> Option<Snapshot> {
-    let at_ns = value.get("at_ns")?.as_f64()? as u64;
-    let Some(Value::Obj(fields)) = value.get("series") else {
-        return None;
-    };
-    let mut series: Vec<Series> = Vec::with_capacity(fields.len());
-    for (name, body) in fields {
-        let Some(data) = series_from_value(body) else {
-            continue;
-        };
-        series.push(Series {
-            name: name.clone(),
-            data,
-        });
-    }
-    series.sort_by(|a, b| a.name.cmp(&b.name));
-    Some(Snapshot { at_ns, series })
-}
-
-fn series_from_value(body: &Value) -> Option<SeriesData> {
-    match body.get("kind")?.as_str()? {
-        "counter" => Some(SeriesData::Counter(body.get("value")?.as_f64()? as u64)),
-        "gauge" => Some(SeriesData::Gauge(body.get("value")?.as_f64()? as i64)),
-        "histogram" => {
-            let field = |name: &str| body.get(name).and_then(Value::as_f64);
-            let mut buckets = Vec::new();
-            for entry in body.get("buckets")?.as_arr()? {
-                let edges = entry.as_arr()?;
-                let at = |i: usize| edges.get(i).and_then(Value::as_f64);
-                buckets.push(Bucket {
-                    lo: at(0)? as u64,
-                    hi: at(1)? as u64,
-                    n: at(2)? as u64,
-                });
-            }
-            Some(SeriesData::Histogram(HistogramSnapshot {
-                count: field("count")? as u64,
-                sum: field("sum")? as u64,
-                min: field("min")? as u64,
-                max: field("max")? as u64,
-                buckets,
-            }))
-        }
-        _ => None,
     }
 }
 
@@ -309,8 +262,8 @@ pub fn plan_key(kind: QueryKind, spec: &ScenarioSpec) -> Result<u64, String> {
 pub struct RouterHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    prober: Option<JoinHandle<()>>,
+    /// The acceptor and the prober.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl RouterHandle {
@@ -383,37 +336,21 @@ impl RouterHandle {
     /// Initiates shutdown and joins the acceptor and prober.
     pub fn shutdown(&mut self) {
         self.shared.begin_shutdown();
-        self.join_threads();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
     }
 
     /// Blocks until the router shuts down (e.g. by a wire `shutdown`).
     pub fn wait(&mut self) {
-        {
-            let (lock, cv) = &self.shared.stop_cv;
-            let mut stopped = relock(lock);
-            while !*stopped {
-                stopped = cv
-                    .wait(stopped)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        }
-        self.join_threads();
-    }
-
-    fn join_threads(&mut self) {
-        if let Some(p) = self.prober.take() {
-            let _ = p.join();
-        }
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
+        self.shared.stopped.wait(None);
+        self.shutdown();
     }
 }
 
 impl Drop for RouterHandle {
     fn drop(&mut self) {
-        self.shared.begin_shutdown();
-        self.join_threads();
+        self.shutdown();
     }
 }
 
@@ -431,89 +368,63 @@ pub fn route<A: ToSocketAddrs>(addr: A, config: RouterConfig) -> io::Result<Rout
     }
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    let stop = AcceptStop::for_listener(&listener)?;
     let shared = Arc::new(Shared {
         ring: HashRing::new(config.backends.len()),
         slots: config.backends.iter().map(|&a| Backend::new(a)).collect(),
         stats: RouterStats::new(),
-        accepting: AtomicBool::new(true),
-        stop_cv: (Mutex::new(false), Condvar::new()),
+        stop: stop.clone(),
+        stopped: Latch::default(),
         conn_seq: AtomicU64::new(0),
         config,
     });
     shared.stats.backends_live.set(shared.slots.len() as i64);
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        thread::Builder::new()
-            .name("hems-router-accept".to_string())
-            .spawn(move || accept_loop(&listener, &shared))?
+    let policy = LinePolicy {
+        max_line_bytes: shared.config.max_line_bytes,
+        read_timeout: shared.config.read_timeout,
+        write_timeout: shared.config.write_timeout,
+        reaped: shared.stats.reaped.clone(),
+        bad_lines: shared.stats.errors.clone(),
     };
-    let prober = {
-        let shared = Arc::clone(&shared);
+    // A spawn failure drops `handle`, which stops and joins whatever
+    // already started.
+    let mut handle = RouterHandle {
+        addr,
+        shared: Arc::clone(&shared),
+        threads: Vec::new(),
+    };
+    let accepted = Arc::clone(&shared);
+    handle.threads.push(wire::serve_lines(
+        listener,
+        "hems-router",
+        policy,
+        stop,
+        move || {
+            // Retry jitter: one seeded stream per client connection.
+            let conn_id = accepted.conn_seq.fetch_add(1, Ordering::Relaxed);
+            let mut rng =
+                XorShiftRng::seed_from_u64(accepted.config.seed ^ conn_id.rotate_left(17));
+            let shared = Arc::clone(&accepted);
+            move |line: &str, out: &LineWriter| handle_line(&shared, line, out, &mut rng)
+        },
+    )?);
+    handle.threads.push(
         thread::Builder::new()
             .name("hems-router-probe".to_string())
-            .spawn(move || probe_loop(&shared))
-    };
-    let prober = match prober {
-        Ok(handle) => handle,
-        Err(e) => {
-            shared.begin_shutdown();
-            let _ = acceptor.join();
-            return Err(e);
-        }
-    };
-    Ok(RouterHandle {
-        addr,
-        shared,
-        acceptor: Some(acceptor),
-        prober: Some(prober),
-    })
-}
-
-/// Shortest accept-loop poll/backoff step.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-/// Cap for the accept-error backoff.
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(500);
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut error_backoff = ACCEPT_POLL;
-    while shared.accepting.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                error_backoff = ACCEPT_POLL;
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(shared.config.read_timeout);
-                let _ = stream.set_write_timeout(shared.config.write_timeout);
-                let shared = Arc::clone(shared);
-                let _ = thread::Builder::new()
-                    .name("hems-router-conn".to_string())
-                    .spawn(move || connection_loop(stream, &shared));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => {
-                thread::sleep(error_backoff);
-                error_backoff = (error_backoff * 2).min(ACCEPT_BACKOFF_MAX);
-            }
-        }
-    }
+            .spawn(move || probe_loop(&shared))?,
+    );
+    Ok(handle)
 }
 
 fn probe_loop(shared: &Arc<Shared>) {
     let mut rng = XorShiftRng::seed_from_u64(shared.config.seed ^ 0x70726f6265); // "probe"
     loop {
+        let jitter = 0.75 + 0.5 * rng.next_f64();
+        if shared
+            .stopped
+            .wait(Some(shared.config.probe_interval.mul_f64(jitter)))
         {
-            let (lock, cv) = &shared.stop_cv;
-            let jitter = 0.75 + 0.5 * rng.next_f64();
-            let wait = shared.config.probe_interval.mul_f64(jitter);
-            let stopped = relock(lock);
-            let (stopped, _) = cv
-                .wait_timeout(stopped, wait)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if *stopped {
-                return;
-            }
+            return;
         }
         for (i, slot) in shared.slots.iter().enumerate() {
             shared.stats.probes.inc();
@@ -539,53 +450,25 @@ fn record_transition(shared: &Arc<Shared>, transition: Transition) {
     }
 }
 
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    let conn_id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
-    let mut rng = XorShiftRng::seed_from_u64(shared.config.seed ^ (conn_id.rotate_left(17)));
-    let mut reader = BufReader::new(stream);
-    loop {
-        let line = match read_line_bounded(&mut reader, shared.config.max_line_bytes) {
-            Ok(Some(line)) => line,
-            Ok(None) => return,
-            Err(e) if is_timeout(&e) => {
-                shared.stats.reaped.inc();
-                return;
-            }
-            Err(_) => {
-                shared.stats.errors.inc();
-                let _ = send_line(reader.get_mut(), &error_response(&Value::Null, "bad line"));
-                return;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let started = monotonic_ns();
-        shared.stats.requests.inc();
-        let response = dispatch(shared, &line, &mut rng);
-        shared
-            .stats
-            .record_latency_ns(monotonic_ns().saturating_sub(started) as f64);
-        let done = matches!(response, Dispatch::Shutdown(_));
-        let body = match response {
-            Dispatch::Reply(body) | Dispatch::Shutdown(body) => body,
-        };
-        if send_line(reader.get_mut(), &body).is_err() {
-            return;
-        }
-        if done {
-            shared.begin_shutdown();
-            return;
-        }
+/// Answers one client line; `false` closes the connection.
+fn handle_line(shared: &Arc<Shared>, line: &str, out: &LineWriter, rng: &mut XorShiftRng) -> bool {
+    let started = monotonic_ns();
+    shared.stats.requests.inc();
+    let (body, shutdown) = dispatch(shared, line, rng);
+    shared
+        .stats
+        .record_latency_ns(monotonic_ns().saturating_sub(started) as f64);
+    if out.send(&body).is_err() {
+        return false;
     }
+    if shutdown {
+        shared.begin_shutdown();
+    }
+    !shutdown
 }
 
-enum Dispatch {
-    Reply(String),
-    Shutdown(String),
-}
-
-fn dispatch(shared: &Arc<Shared>, line: &str, rng: &mut XorShiftRng) -> Dispatch {
+/// The response line, and whether it acknowledges a `shutdown`.
+fn dispatch(shared: &Arc<Shared>, line: &str, rng: &mut XorShiftRng) -> (String, bool) {
     // Router-level verbs are recognized before protocol parsing so the
     // router, not a backend, answers them.
     let parsed = json::parse(line).ok();
@@ -599,21 +482,17 @@ fn dispatch(shared: &Arc<Shared>, line: &str, rng: &mut XorShiftRng) -> Dispatch
         .and_then(|v| v.get("query"))
         .and_then(Value::as_str)
         .unwrap_or("");
-    match verb {
-        "stats" => Dispatch::Reply(ok_response(&id, false, shared.stats_value())),
-        "metrics" => Dispatch::Reply(ok_response(
-            &id,
-            false,
-            shared.metrics_snapshot().to_value(),
-        )),
-        "shutdown" => Dispatch::Shutdown(ok_response(
-            &id,
-            false,
-            Value::obj(vec![("draining", Value::Bool(true))]),
-        )),
-        "reconfig" => Dispatch::Reply(reconfig(shared, &id, parsed.as_ref())),
-        _ => Dispatch::Reply(forward_plan(shared, line, rng)),
-    }
+    let reply = match verb {
+        "stats" => ok_response(&id, false, shared.stats_value()),
+        "metrics" => ok_response(&id, false, shared.metrics_snapshot().to_value()),
+        "shutdown" => {
+            let draining = Value::obj(vec![("draining", Value::Bool(true))]);
+            return (ok_response(&id, false, draining), true);
+        }
+        "reconfig" => reconfig(shared, &id, parsed.as_ref()),
+        _ => forward_plan(shared, line, rng),
+    };
+    (reply, false)
 }
 
 /// The wire half of drain-and-rejoin: marks shards draining (non-

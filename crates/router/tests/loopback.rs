@@ -98,6 +98,17 @@ fn router_relays_byte_identical_responses() {
 }
 
 #[test]
+fn wire_shutdown_unblocks_wait() {
+    let b0 = backend(0);
+    let mut router = router_over(&[&b0]);
+    let mut client = RawClient::connect(router.addr());
+    let bye = client.exchange(r#"{"id":1,"query":"shutdown"}"#);
+    let parsed = hems_serve::json::parse(&bye).expect("response json");
+    assert_eq!(parsed.get("status").and_then(Value::as_str), Some("ok"));
+    router.wait(); // must return, not hang
+}
+
+#[test]
 fn key_affinity_pins_keys_to_their_home_shard() {
     let (b0, b1, b2) = (backend(0), backend(1), backend(2));
     let router = router_over(&[&b0, &b1, &b2]);

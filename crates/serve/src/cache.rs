@@ -14,8 +14,7 @@
 //! cheaper than maintaining an intrusive list — and it only runs when a
 //! shard is full.
 
-use crate::sync::relock;
-use hems_obs::{Counter, Registry};
+use hems_obs::{relock, Counter, Registry};
 use std::collections::HashMap;
 use std::sync::Mutex;
 

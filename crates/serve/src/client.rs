@@ -22,11 +22,16 @@
 
 use crate::json::{parse, Value};
 use crate::proto::{QueryKind, Request, ScenarioSpec};
+use crate::wire::exchange;
 use hems_units::XorShiftRng;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::Duration;
+
+/// Longest accepted response line (a `stats` body is the largest the
+/// client asks for); a longer one is a protocol fault.
+const MAX_RESPONSE_BYTES: usize = 1 << 20;
 
 /// How a [`Client`] retries: attempt budget, backoff shape, deadlines.
 #[derive(Debug, Clone)]
@@ -238,20 +243,7 @@ impl Client {
 
     /// One wire round trip. `Err` means the connection is unusable.
     fn attempt(&mut self, line: &str, want_id: &Value) -> io::Result<Outcome> {
-        let reader = self.connection()?;
-        {
-            let stream = reader.get_mut();
-            stream.write_all(line.as_bytes())?;
-            stream.write_all(b"\n")?;
-            stream.flush()?;
-        }
-        let mut response = String::new();
-        if reader.read_line(&mut response)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
+        let response = exchange(self.connection()?, line, MAX_RESPONSE_BYTES)?;
         let value = parse(&response).map_err(|e| {
             io::Error::new(io::ErrorKind::InvalidData, format!("torn response: {e}"))
         })?;

@@ -49,7 +49,6 @@ pub mod planner;
 pub mod proto;
 pub mod server;
 pub mod stats;
-mod sync;
 pub mod wire;
 
 pub use cache::PlanCache;

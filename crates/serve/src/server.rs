@@ -1,15 +1,19 @@
-//! The service: TCP acceptor, per-connection readers, and the micro-batcher.
+//! The service: the line handler and the micro-batcher, on the shared
+//! line-server skeleton in [`crate::wire`].
 //!
 //! ## Thread anatomy
 //!
+//! The skeleton owns the acceptor and one connection thread per client;
+//! this module supplies the per-line handler and the batcher:
+//!
 //! ```text
-//! acceptor ──► reader (one per connection)
-//!                │  parse → stats/shutdown inline
-//!                │  cache hit → respond inline (cached: true)
-//!                │  cache miss → bounded queue ──► batcher ──► worker pool
-//!                │  queue full → overloaded          │  (fan out one batch,
-//!                ▼                                   ▼   in-batch dedup)
-//!              client ◄──────────────── responses written per-pending
+//! line handler (on the connection thread)
+//!    │  parse → stats/metrics/shutdown inline
+//!    │  cache hit → respond inline (cached: true)
+//!    │  cache miss → bounded queue ──► batcher ──► worker pool
+//!    │  queue full → overloaded          │  (fan out one batch,
+//!    ▼                                   ▼   in-batch dedup)
+//!  LineWriter ◄────────── responses written per-pending
 //! ```
 //!
 //! ## Admission control
@@ -31,9 +35,10 @@
 //!
 //! ## Shutdown
 //!
-//! A `shutdown` query (or [`ServerHandle::shutdown`]) flips the accepting
-//! flag, wakes the batcher, and *drains*: every request already accepted
-//! into the queue is answered before the batcher exits and the pool joins.
+//! A `shutdown` query (or [`ServerHandle::shutdown`]) raises the stop
+//! flag, which also wakes the acceptor out of `accept`, wakes the
+//! batcher, and *drains*: every request already accepted into the queue
+//! is answered before the batcher exits and the pool joins.
 //! Requests arriving after the flag see `overloaded` with a "shutting
 //! down" reason.
 
@@ -43,14 +48,14 @@ use crate::proto::{
     error_response, ok_response, overloaded_response, retryable_error_response, QueryKind, Request,
 };
 use crate::stats::ServeStats;
-use crate::sync::relock;
-use crate::wire::{is_timeout, read_line_bounded};
+use crate::wire::{self, AcceptStop, LinePolicy, LineWriter};
 use hems_obs::clock::monotonic_ns;
+use hems_obs::{relock, Latch};
 use hems_sim::WorkerPool;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -111,7 +116,7 @@ impl Default for ServeConfig {
 struct Pending {
     id: crate::json::Value,
     job: PlanJob,
-    conn: Arc<Mutex<TcpStream>>,
+    conn: LineWriter,
     accepted_at: u64,
 }
 
@@ -121,10 +126,10 @@ struct Shared {
     stats: ServeStats,
     queue: Mutex<VecDeque<Pending>>,
     queue_ready: Condvar,
-    /// Cleared on shutdown: new work is refused.
-    accepting: AtomicBool,
-    /// Flipped (and broadcast) when the batcher has drained and exited.
-    drained_cv: (Mutex<bool>, Condvar),
+    /// Raised on shutdown: the acceptor exits and new work is refused.
+    stop: AcceptStop,
+    /// Opened when the batcher has drained and exited.
+    drained: Latch,
     pool: WorkerPool,
     /// Jobs dispatched to the pool so far — the deterministic counter the
     /// `inject_panic_one_in` chaos hook keys off.
@@ -152,7 +157,7 @@ impl Shared {
     }
 
     fn begin_shutdown(&self) {
-        self.accepting.store(false, Ordering::SeqCst);
+        self.stop.stop();
         // Wake the batcher even if the queue is empty so it can exit.
         self.queue_ready.notify_all();
     }
@@ -163,8 +168,8 @@ impl Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
+    /// The acceptor and the batcher.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -191,38 +196,22 @@ impl ServerHandle {
     /// Initiates graceful shutdown and blocks until in-flight work drains.
     pub fn shutdown(&mut self) {
         self.shared.begin_shutdown();
-        self.join_threads();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
     }
 
     /// Blocks until the server shuts down (e.g. by a wire `shutdown`
     /// query).
     pub fn wait(&mut self) {
-        {
-            let (lock, cv) = &self.shared.drained_cv;
-            let mut drained = relock(lock);
-            while !*drained {
-                drained = cv
-                    .wait(drained)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        }
-        self.join_threads();
-    }
-
-    fn join_threads(&mut self) {
-        if let Some(b) = self.batcher.take() {
-            let _ = b.join();
-        }
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
+        self.shared.drained.wait(None);
+        self.shutdown();
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.shared.begin_shutdown();
-        self.join_threads();
+        self.shutdown();
     }
 }
 
@@ -234,7 +223,7 @@ impl Drop for ServerHandle {
 pub fn serve<A: ToSocketAddrs>(addr: A, config: ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    let stop = AcceptStop::for_listener(&listener)?;
     let pool = WorkerPool::with_default_threads(config.threads);
     let stats = ServeStats::new();
     let shared = Arc::new(Shared {
@@ -242,204 +231,116 @@ pub fn serve<A: ToSocketAddrs>(addr: A, config: ServeConfig) -> io::Result<Serve
         stats,
         queue: Mutex::new(VecDeque::new()),
         queue_ready: Condvar::new(),
-        accepting: AtomicBool::new(true),
-        drained_cv: (Mutex::new(false), Condvar::new()),
+        stop: stop.clone(),
+        drained: Latch::default(),
         pool,
         jobs_dispatched: AtomicU64::new(0),
         config,
     });
 
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        thread::Builder::new()
-            .name("hems-serve-accept".to_string())
-            .spawn(move || accept_loop(&listener, &shared))?
+    let policy = LinePolicy {
+        max_line_bytes: shared.config.max_line_bytes,
+        read_timeout: shared.config.read_timeout,
+        write_timeout: shared.config.write_timeout,
+        reaped: shared.stats.reaped.clone(),
+        bad_lines: shared.stats.errors.clone(),
     };
-    let batcher = {
-        let shared = Arc::clone(&shared);
+    // A spawn failure drops `handle`, which stops and joins whatever
+    // already started: without a batcher the server would accept and
+    // never answer.
+    let mut handle = ServerHandle {
+        addr,
+        shared: Arc::clone(&shared),
+        threads: Vec::new(),
+    };
+    let accepted = Arc::clone(&shared);
+    handle.threads.push(wire::serve_lines(
+        listener,
+        "hems-serve",
+        policy,
+        stop,
+        move || {
+            let shared = Arc::clone(&accepted);
+            move |line: &str, out: &LineWriter| handle_line(&shared, line, out)
+        },
+    )?);
+    handle.threads.push(
         thread::Builder::new()
             .name("hems-serve-batch".to_string())
-            .spawn(move || batch_loop(&shared))
+            .spawn(move || batch_loop(&shared))?,
+    );
+    Ok(handle)
+}
+
+/// Answers one request line; `false` closes the connection.
+fn handle_line(shared: &Arc<Shared>, line: &str, out: &LineWriter) -> bool {
+    let started = monotonic_ns();
+    shared.stats.requests.inc();
+    let request = match Request::parse_line(line) {
+        Ok(request) => request,
+        Err((id, message)) => {
+            shared.stats.errors.inc();
+            let _ = out.send(&error_response(&id, &message));
+            return true;
+        }
     };
-    let batcher = match batcher {
-        Ok(handle) => handle,
-        Err(e) => {
-            // Without a batcher the server would accept and never answer;
-            // unwind the acceptor before reporting the failure.
+    let result = match request.kind {
+        QueryKind::Stats => shared.stats_value(),
+        // Merge the process-global registry (sweep, pool, LUT series)
+        // with this server's own (serve.*, cache); the snapshot's JSON
+        // tree is the structured result object.
+        QueryKind::Metrics => hems_obs::global()
+            .snapshot()
+            .merged(shared.stats.registry().snapshot())
+            .to_value(),
+        QueryKind::Shutdown => {
+            let draining =
+                crate::json::Value::obj(vec![("draining", crate::json::Value::Bool(true))]);
+            let _ = out.send(&ok_response(&request.id, false, draining));
             shared.begin_shutdown();
-            let _ = acceptor.join();
-            return Err(e);
+            return false;
+        }
+        _ => {
+            handle_plan_query(shared, out, request, started);
+            return true;
         }
     };
-
-    Ok(ServerHandle {
-        addr,
-        shared,
-        acceptor: Some(acceptor),
-        batcher: Some(batcher),
-    })
+    let _ = out.send(&ok_response(&request.id, false, result));
+    shared.stats.record_latency_ns(elapsed_ns(started));
+    true
 }
 
-/// Shortest accept-loop poll/backoff step.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-/// Cap for the accept-error backoff.
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(500);
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    // Reader threads detach; they exit when their connection closes or
-    // shutdown refuses further work. Nonblocking accept lets the acceptor
-    // poll the shutdown flag without a self-connect trick.
-    let mut error_backoff = ACCEPT_POLL;
-    while shared.accepting.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                error_backoff = ACCEPT_POLL;
-                // One small response line per request: Nagle + delayed ACK
-                // would add ~40 ms to every round trip.
-                let _ = stream.set_nodelay(true);
-                // Deadlines are the slow-loris/half-open defence: a
-                // connection that cannot make a line's progress per
-                // deadline is reaped, not parked forever.
-                let _ = stream.set_read_timeout(shared.config.read_timeout);
-                let _ = stream.set_write_timeout(shared.config.write_timeout);
-                let shared = Arc::clone(shared);
-                let _ = thread::Builder::new()
-                    .name("hems-serve-conn".to_string())
-                    .spawn(move || connection_loop(stream, &shared));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // Idle poll: fixed short sleep keeps shutdown responsive.
-                thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => {
-                // Persistent accept errors (EMFILE, ENOBUFS, …) must not
-                // hot-loop at 200 Hz: back off exponentially to a cap, and
-                // reset on the next successful accept.
-                thread::sleep(error_backoff);
-                error_backoff = (error_backoff * 2).min(ACCEPT_BACKOFF_MAX);
-            }
-        }
-    }
-}
-
-fn write_line(conn: &Arc<Mutex<TcpStream>>, line: &str) {
-    let mut stream = relock(conn);
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
-    let _ = stream.flush();
-}
-
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        let line = match read_line_bounded(&mut reader, shared.config.max_line_bytes) {
-            Ok(Some(line)) => line,
-            Ok(None) => return, // clean EOF
-            Err(e) if is_timeout(&e) => {
-                // Read deadline expired: an idle, half-open, or slow-loris
-                // connection. Reap it quietly — the close *is* the signal,
-                // and writing into a stalled socket could itself block
-                // until the write deadline.
-                shared.stats.reaped.inc();
-                return;
-            }
-            Err(_) => {
-                shared.stats.errors.inc();
-                write_line(
-                    &writer,
-                    &error_response(&crate::json::Value::Null, "bad line"),
-                );
-                return;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let started = monotonic_ns();
-        shared.stats.requests.inc();
-        let request = match Request::parse_line(&line) {
-            Ok(request) => request,
-            Err((id, message)) => {
-                shared.stats.errors.inc();
-                write_line(&writer, &error_response(&id, &message));
-                continue;
-            }
-        };
-        match request.kind {
-            QueryKind::Stats => {
-                write_line(
-                    &writer,
-                    &ok_response(&request.id, false, shared.stats_value()),
-                );
-                shared.stats.record_latency_ns(elapsed_ns(started));
-            }
-            QueryKind::Metrics => {
-                // Merge the process-global registry (sweep, pool, LUT
-                // series) with this server's own (serve.*, cache); the
-                // snapshot's JSON tree is the structured result object.
-                let merged = hems_obs::global()
-                    .snapshot()
-                    .merged(shared.stats.registry().snapshot());
-                write_line(&writer, &ok_response(&request.id, false, merged.to_value()));
-                shared.stats.record_latency_ns(elapsed_ns(started));
-            }
-            QueryKind::Shutdown => {
-                write_line(
-                    &writer,
-                    &ok_response(
-                        &request.id,
-                        false,
-                        crate::json::Value::obj(vec![("draining", crate::json::Value::Bool(true))]),
-                    ),
-                );
-                shared.begin_shutdown();
-                return;
-            }
-            _ => handle_plan_query(shared, &writer, request, started),
-        }
-    }
-}
-
-fn handle_plan_query(
-    shared: &Arc<Shared>,
-    writer: &Arc<Mutex<TcpStream>>,
-    request: Request,
-    started: u64,
-) {
+fn handle_plan_query(shared: &Arc<Shared>, writer: &LineWriter, request: Request, started: u64) {
     let Some(spec) = request.scenario else {
         // Parsing guarantees plan queries carry a scenario; answer rather
         // than crash the connection if that invariant ever slips.
         shared.stats.errors.inc();
-        write_line(
-            writer,
-            &error_response(&request.id, "plan query is missing a scenario"),
-        );
+        let _ = writer.send(&error_response(
+            &request.id,
+            "plan query is missing a scenario",
+        ));
         return;
     };
     let job = match PlanJob::build(request.kind, spec) {
         Ok(job) => job,
         Err(message) => {
             shared.stats.errors.inc();
-            write_line(writer, &error_response(&request.id, &message));
+            let _ = writer.send(&error_response(&request.id, &message));
             return;
         }
     };
     if let Some(rendered) = shared.cache.get(job.key) {
         shared.stats.hits.inc();
-        write_line(writer, &ok_line(&request.id, true, &rendered));
+        let _ = writer.send(&ok_line(&request.id, true, &rendered));
         shared.stats.record_latency_ns(elapsed_ns(started));
         return;
     }
     // Admission control: refuse instead of queueing unboundedly. The
-    // accepting flag is checked under the queue lock so shutdown cannot
-    // race an enqueue past the drain.
+    // stop flag is checked under the queue lock so shutdown cannot race
+    // an enqueue past the drain.
     let refused = {
         let mut queue = relock(&shared.queue);
-        if !shared.accepting.load(Ordering::SeqCst) {
+        if shared.stop.is_stopped() {
             Some("shutting down")
         } else if queue.len() >= shared.config.max_queue {
             Some("queue full, back off and retry")
@@ -448,7 +349,7 @@ fn handle_plan_query(
             queue.push_back(Pending {
                 id: request.id.clone(),
                 job,
-                conn: Arc::clone(writer),
+                conn: writer.clone(),
                 accepted_at: started,
             });
             None
@@ -457,7 +358,7 @@ fn handle_plan_query(
     match refused {
         Some(reason) => {
             shared.stats.overloaded.inc();
-            write_line(writer, &overloaded_response(&request.id, reason));
+            let _ = writer.send(&overloaded_response(&request.id, reason));
         }
         None => shared.queue_ready.notify_one(),
     }
@@ -490,12 +391,10 @@ fn batch_loop(shared: &Arc<Shared>) {
                     let n = queue.len().min(shared.config.max_batch);
                     break queue.drain(..n).collect();
                 }
-                if !shared.accepting.load(Ordering::SeqCst) {
+                if shared.stop.is_stopped() {
                     // Queue empty and no new work can arrive: drained.
                     drop(queue);
-                    let (lock, cv) = &shared.drained_cv;
-                    *relock(lock) = true;
-                    cv.notify_all();
+                    shared.drained.open();
                     return;
                 }
                 queue = shared
@@ -604,15 +503,11 @@ fn batch_loop(shared: &Arc<Shared>) {
         // has read an answer and then asks for `stats` or `metrics` on
         // its own connection always sees that answer counted.
         for (key, outcome) in outcomes {
-            let pendings = waiters.remove(&key).unwrap_or_default();
-            match outcome {
+            let respond: Box<dyn Fn(&crate::json::Value) -> String> = match outcome {
                 Ok(Ok(result)) => {
                     let rendered = result.render();
                     shared.cache.insert(key, rendered.clone());
-                    for p in pendings {
-                        shared.stats.record_latency_ns(elapsed_ns(p.accepted_at));
-                        write_line(&p.conn, &ok_line(&p.id, false, &rendered));
-                    }
+                    Box::new(move |id| ok_line(id, false, &rendered))
                 }
                 Ok(Err(message)) => {
                     // A semantic failure (malformed scenario, infeasible
@@ -621,10 +516,7 @@ fn batch_loop(shared: &Arc<Shared>) {
                     // infeasible plan (e.g. a race on darkness) should not
                     // poison the key.
                     shared.stats.errors.inc();
-                    for p in pendings {
-                        shared.stats.record_latency_ns(elapsed_ns(p.accepted_at));
-                        write_line(&p.conn, &error_response(&p.id, &message));
-                    }
+                    Box::new(move |id| error_response(id, &message))
                 }
                 Err(message) => {
                     // A worker panic is a *fault*, not a verdict about the
@@ -632,11 +524,12 @@ fn batch_loop(shared: &Arc<Shared>) {
                     // the batch already has answers) and the response is
                     // marked retryable so a well-behaved client resubmits.
                     shared.stats.faults.inc();
-                    for p in pendings {
-                        shared.stats.record_latency_ns(elapsed_ns(p.accepted_at));
-                        write_line(&p.conn, &retryable_error_response(&p.id, &message));
-                    }
+                    Box::new(move |id| retryable_error_response(id, &message))
                 }
+            };
+            for p in waiters.remove(&key).unwrap_or_default() {
+                shared.stats.record_latency_ns(elapsed_ns(p.accepted_at));
+                let _ = p.conn.send(&respond(&p.id));
             }
         }
     }
@@ -647,7 +540,8 @@ mod tests {
     use super::*;
     use crate::json::{parse, Value};
     use crate::proto::ScenarioSpec;
-    use std::io::{BufRead, Read};
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
 
     fn small_config() -> ServeConfig {
         ServeConfig {

@@ -35,10 +35,11 @@
 //! caller does not steal work. Do not call `run_jobs` from inside a pool
 //! job — with every worker waiting on the inner batch the pool deadlocks.
 
+use hems_obs::relock;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// Standing pool telemetry on the process-global registry (DESIGN.md
@@ -69,13 +70,6 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 /// A job's outcome as stored in its batch slot: the value, or the panic
 /// payload captured by `catch_unwind`.
 type JobOutcome<T> = Result<T, Box<dyn Any + Send + 'static>>;
-
-/// Locks a mutex, recovering from poisoning: the pool's protected state
-/// (task queue, result slots, counters) stays structurally valid across
-/// an unwind, so the poison flag carries no information here.
-fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Runs one job under `catch_unwind` with occupancy and panic-isolation
 /// telemetry around it (used by both the worker and the inline path).

@@ -15,23 +15,19 @@
 
 use hems_serve::json::Value;
 use hems_serve::proto::{QueryKind, Request, ScenarioSpec};
+use hems_serve::wire::exchange;
 use hems_serve::{serve, ServeConfig};
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufReader;
 use std::net::TcpStream;
 
 fn ask(
-    stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
+    conn: &mut BufReader<TcpStream>,
     id: i64,
     kind: QueryKind,
     spec: Option<&ScenarioSpec>,
 ) -> Value {
     let line = Request::render_line(id, kind, spec);
-    stream
-        .write_all(format!("{line}\n").as_bytes())
-        .expect("write request");
-    let mut response = String::new();
-    reader.read_line(&mut response).expect("read response");
+    let response = exchange(conn, &line, 1 << 20).expect("server answers");
     hems_serve::json::parse(&response).expect("server speaks JSON")
 }
 
@@ -44,26 +40,20 @@ fn main() {
     let handle = serve("127.0.0.1:0", ServeConfig::default()).expect("bind loopback");
     let addr = handle.addr().to_string();
     println!("started in-process hems-serve on {addr}");
-    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let stream = TcpStream::connect(&addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut conn = BufReader::new(stream);
 
     // Workload: two distinct plans (cache misses), one repeat (cache
     // hit), and a sweep summary to exercise the sweep engine + pool.
     let spec = ScenarioSpec::baseline(0.5);
     let bright = ScenarioSpec::baseline(1.0);
-    ask(&mut stream, &mut reader, 1, QueryKind::Mep, Some(&spec));
-    ask(&mut stream, &mut reader, 2, QueryKind::Mep, Some(&bright));
-    ask(&mut stream, &mut reader, 3, QueryKind::Mep, Some(&spec));
-    ask(
-        &mut stream,
-        &mut reader,
-        4,
-        QueryKind::SweepSummary,
-        Some(&spec),
-    );
+    ask(&mut conn, 1, QueryKind::Mep, Some(&spec));
+    ask(&mut conn, 2, QueryKind::Mep, Some(&bright));
+    ask(&mut conn, 3, QueryKind::Mep, Some(&spec));
+    ask(&mut conn, 4, QueryKind::SweepSummary, Some(&spec));
 
-    let response = ask(&mut stream, &mut reader, 5, QueryKind::Metrics, None);
+    let response = ask(&mut conn, 5, QueryKind::Metrics, None);
     assert_eq!(
         response.get("status").and_then(Value::as_str),
         Some("ok"),
@@ -116,7 +106,7 @@ fn main() {
         "the sweep summary must exercise the sweep engine"
     );
 
-    ask(&mut stream, &mut reader, 6, QueryKind::Shutdown, None);
+    ask(&mut conn, 6, QueryKind::Shutdown, None);
     let mut handle = handle;
     handle.wait();
     println!("\nall planes present; server drained and stopped");

@@ -11,23 +11,19 @@
 
 use hems_serve::json::{parse, Value};
 use hems_serve::proto::{QueryKind, Request, ScenarioSpec};
+use hems_serve::wire::exchange;
 use hems_serve::{serve, ServeConfig};
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufReader;
 use std::net::TcpStream;
 
 fn ask(
-    stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
+    conn: &mut BufReader<TcpStream>,
     id: i64,
     kind: QueryKind,
     spec: Option<&ScenarioSpec>,
 ) -> Value {
     let line = Request::render_line(id, kind, spec);
-    stream
-        .write_all(format!("{line}\n").as_bytes())
-        .expect("write request");
-    let mut response = String::new();
-    reader.read_line(&mut response).expect("read response");
+    let response = exchange(conn, &line, 1 << 20).expect("server answers");
     parse(&response).expect("server speaks JSON")
 }
 
@@ -63,9 +59,9 @@ fn main() {
             addr
         }
     };
-    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let stream = TcpStream::connect(&addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut conn = BufReader::new(stream);
 
     // The paper's baseline board at half sun, with a 20 ms deadline for
     // the sprint planner.
@@ -81,12 +77,12 @@ fn main() {
         ("sweep_summary", QueryKind::SweepSummary),
     ];
     for (i, (name, kind)) in plan_kinds.iter().enumerate() {
-        let response = ask(&mut stream, &mut reader, i as i64, *kind, Some(&spec));
+        let response = ask(&mut conn, i as i64, *kind, Some(&spec));
         show(name, &response);
     }
 
     // The repeat must come back from the plan cache.
-    let repeat = ask(&mut stream, &mut reader, 100, QueryKind::Mep, Some(&spec));
+    let repeat = ask(&mut conn, 100, QueryKind::Mep, Some(&spec));
     assert_eq!(
         repeat.get("cached").and_then(Value::as_bool),
         Some(true),
@@ -94,10 +90,10 @@ fn main() {
     );
     show("mep (repeat)", &repeat);
 
-    let stats = ask(&mut stream, &mut reader, 101, QueryKind::Stats, None);
+    let stats = ask(&mut conn, 101, QueryKind::Stats, None);
     show("stats", &stats);
 
-    let bye = ask(&mut stream, &mut reader, 102, QueryKind::Shutdown, None);
+    let bye = ask(&mut conn, 102, QueryKind::Shutdown, None);
     show("shutdown", &bye);
     if let Some(mut handle) = local {
         handle.wait();

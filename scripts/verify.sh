@@ -43,12 +43,16 @@ summary = json.loads(os.environ["LINT_SUMMARY"])
 assert summary.get("summary") is True, f"not a summary line: {summary}"
 assert summary["functions"] > 500, f"call graph too small: {summary['functions']} fns"
 assert summary["edges"] > 1000, f"call graph too small: {summary['edges']} edges"
+# lock_order must keep seeing the service plane's mutexes: 35 acquisitions
+# (`.lock()` and `relock(&m)`) in serve/router/sim/obs when this floor was
+# set. A rename of the shared relock helper that blinds the pass fails here.
+assert summary["lock_sites"] > 32, f"lock_order modelled only {summary['lock_sites']} lock sites"
 passes = summary["passes"]
 for name in ("panic_reach", "lock_order", "taint"):
     assert name in passes, f"pass {name} missing from summary"
 print(f"verify: hems-lint ran all 3 passes over "
       f"{summary['functions']} fns / {summary['edges']} edges "
-      f"in {summary['wall_ms']} ms")
+      f"({summary['lock_sites']} lock sites) in {summary['wall_ms']} ms")
 PYEOF
 # JSON-lines smoke: findings and the summary line must round-trip
 # through the workspace's JSON codec, hems_obs::json (the same codec the
