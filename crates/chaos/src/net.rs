@@ -4,7 +4,7 @@
 //! Topology:
 //!
 //! ```text
-//! retrying Client ──► ChaosProxy ──► hems-serve (worker-panic injection on)
+//! retrying Client ──► ChaosProxy ──► hems-serve (solve-panic injection on)
 //! attackers ─────────────────────────────────────┘ (direct connections)
 //! ```
 //!
@@ -17,21 +17,24 @@
 //! retrying [`hems_serve::Client`], and the campaign demands all of them
 //! get answered.
 //!
-//! A process-wide panic probe counts panics on threads named
-//! `hems-serve-*` (acceptor, readers, batcher). The worker pool's
-//! threads are named `hems-pool-*`, so the panics the campaign injects
-//! *into jobs* don't count — only a genuine server-side crash does, and
-//! the campaign requires zero.
+//! A process-wide panic probe watches threads named `hems-serve-*`
+//! (acceptor, connection threads). The campaign's injected solve faults
+//! fire there too, on the connection thread that solves the miss, with a
+//! payload tagged `chaos:`; the probe counts those apart. A serve panic is
+//! an escape when it is untagged (a genuine server-side crash), or when
+//! the tagged count disagrees with the server's own `faults` counter (an
+//! injected fault the isolation path did not answer). The campaign
+//! requires zero escapes.
 //!
 //! Determinism: all traffic is sequential (one phase at a time, one
-//! request in flight), so connection order, proxy fault order, worker
+//! request in flight), so connection order, proxy fault order, solve
 //! fault order, retry counts, and every counter in the report are pure
 //! functions of the seed. Wall-clock quantities are deliberately kept out
 //! of the report.
 
 use crate::error::ChaosError;
 use crate::plan::CampaignConfig;
-use hems_obs::Registry;
+use hems_obs::{relock, Registry};
 use hems_serve::client::{Client, RetryPolicy};
 use hems_serve::json::Value;
 use hems_serve::proto::{QueryKind, Request, ScenarioSpec};
@@ -40,33 +43,46 @@ use hems_serve::wire::{accept_streams, send_line, AcceptStop};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::Duration;
 
-/// Panics observed on `hems-serve-*` threads since process start.
+/// Untagged panics observed on `hems-serve-*` threads since process
+/// start.
 static SERVE_PANICS: AtomicU64 = AtomicU64::new(0);
+/// `chaos:`-tagged panics observed on `hems-serve-*` threads since
+/// process start.
+static SERVE_INJECTED: AtomicU64 = AtomicU64::new(0);
 static PROBE: OnceLock<()> = OnceLock::new();
+/// One net campaign at a time: the probe's counters are process-wide, so
+/// a campaign's before/after difference is its own only while no other
+/// campaign's server is panicking.
+static CAMPAIGN: Mutex<()> = Mutex::new(());
 
 /// Installs the process-wide panic probe (idempotent). Counts panics on
-/// server threads; intentionally injected faults (payloads tagged
-/// `chaos:`) skip the default backtrace printer to keep reports clean.
+/// server threads, injected faults (payloads tagged `chaos:`) apart from
+/// the rest; injected faults skip the default backtrace printer to keep
+/// reports clean.
 pub fn install_panic_probe() {
     PROBE.get_or_init(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            // hems-lint: allow(taint, reason = "thread *name* only, to classify hems-serve-* panics into a counter; names are fixed strings, no os id reaches report bytes")
-            let current = thread::current();
-            let name = current.name().unwrap_or("");
-            if name.starts_with("hems-serve-") {
-                SERVE_PANICS.fetch_add(1, Ordering::SeqCst);
-            }
             let injected = info
                 .payload()
                 .downcast_ref::<String>()
                 .map(String::as_str)
                 .or_else(|| info.payload().downcast_ref::<&str>().copied())
                 .is_some_and(|m| m.starts_with("chaos:"));
+            // hems-lint: allow(taint, reason = "thread *name* only, to classify hems-serve-* panics into a counter; names are fixed strings, no os id reaches report bytes")
+            let current = thread::current();
+            if current.name().unwrap_or("").starts_with("hems-serve-") {
+                let count = if injected {
+                    &SERVE_INJECTED
+                } else {
+                    &SERVE_PANICS
+                };
+                count.fetch_add(1, Ordering::SeqCst);
+            }
             if !injected {
                 previous(info);
             }
@@ -393,12 +409,14 @@ fn attack_wave(
 pub struct NetReport {
     /// One JSON line per request/attack plus a summary line.
     pub lines: Vec<Value>,
-    /// Faults injected (proxy tears + attacks + worker panics).
+    /// Faults injected (proxy tears + attacks + solve panics).
     pub injected: u64,
     /// Faults the stack absorbed (healthy requests all answered, attacks
     /// survived, panics contained).
     pub recovered: u64,
-    /// Panics observed on `hems-serve-*` threads (must be zero).
+    /// Serve panics that escaped: untagged ones, plus any gap between
+    /// the `chaos:`-tagged ones and the server's `faults` counter (must
+    /// be zero).
     pub serve_panics: u64,
 }
 
@@ -410,8 +428,10 @@ pub struct NetReport {
 /// Errors when the harness itself cannot start (bind/spawn failures) —
 /// not when injected faults bite.
 pub fn run(config: &CampaignConfig, registry: &Registry) -> Result<NetReport, ChaosError> {
+    let _one_campaign = relock(&CAMPAIGN);
     install_panic_probe();
     let panics_before = SERVE_PANICS.load(Ordering::SeqCst);
+    let injected_before = SERVE_INJECTED.load(Ordering::SeqCst);
     let read_timeout = Duration::from_millis(config.net_read_timeout_ms);
 
     let mut handle = serve(
@@ -420,7 +440,6 @@ pub fn run(config: &CampaignConfig, registry: &Registry) -> Result<NetReport, Ch
             threads: Some(2),
             cache_capacity: 256,
             max_queue: 64,
-            max_batch: 8,
             max_line_bytes: 16 * 1024,
             read_timeout: Some(read_timeout),
             write_timeout: Some(Duration::from_secs(2)),
@@ -476,7 +495,9 @@ pub fn run(config: &CampaignConfig, registry: &Registry) -> Result<NetReport, Ch
     let counter = |name: &str| stats.get(name).and_then(Value::as_f64).unwrap_or(-1.0);
     let worker_faults = counter("faults").max(0.0) as u64;
     handle.shutdown(); // graceful drain must complete
-    let serve_panics = SERVE_PANICS.load(Ordering::SeqCst) - panics_before;
+    let injected_panics = SERVE_INJECTED.load(Ordering::SeqCst) - injected_before;
+    let serve_panics = SERVE_PANICS.load(Ordering::SeqCst) - panics_before
+        + injected_panics.abs_diff(worker_faults);
 
     let answered = answered_a + answered_b;
     let failed = failed_a + failed_b;

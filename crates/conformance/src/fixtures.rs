@@ -268,7 +268,6 @@ fn serve_fixture() -> Result<Fixture, ConformanceError> {
         threads: Some(2),
         cache_capacity: 64,
         max_queue: 64,
-        max_batch: 8,
         ..ServeConfig::default()
     };
     let mut handle = serve("127.0.0.1:0", config).map_err(|e| infra(e.to_string()))?;

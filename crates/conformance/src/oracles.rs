@@ -170,7 +170,6 @@ fn start_tier(
             threads: Some(1),
             cache_capacity: 512,
             max_queue: 256,
-            max_batch: 8,
             shard_id: Some(shard as u64),
             ..ServeConfig::default()
         };
@@ -285,7 +284,6 @@ fn start_server(threads: usize) -> Result<(ServerHandle, Client), ConformanceErr
         threads: Some(threads),
         cache_capacity: 512,
         max_queue: 256,
-        max_batch: 8,
         ..ServeConfig::default()
     };
     let handle = serve("127.0.0.1:0", config)

@@ -14,7 +14,7 @@
 //!
 //! Planning is serve-backed by default: a loopback `hems-serve` instance
 //! is spun up and every dawn wave's plan request goes through the real
-//! client/cache/batcher path. `--analytic` swaps in the pure in-process
+//! client/cache/solve path. `--analytic` swaps in the pure in-process
 //! planner (identical answers, no sockets).
 
 #![forbid(unsafe_code)]

@@ -320,7 +320,6 @@ mod tests {
             threads: Some(2),
             cache_capacity: 64,
             max_queue: 64,
-            max_batch: 8,
             ..ServeConfig::default()
         }
     }

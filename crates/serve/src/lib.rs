@@ -1,4 +1,4 @@
-//! `hems-serve`: a batched, cached scenario-planning service.
+//! `hems-serve`: a cached scenario-planning service.
 //!
 //! The offline story so far answers "what should this node do?" by
 //! rebuilding devices and re-running solvers per question. This crate
@@ -12,17 +12,17 @@
 //! 1. canonicalizes the request into a 64-bit cache key
 //!    (`hems_core::cachekey`),
 //! 2. serves repeats from a sharded LRU plan cache ([`cache`]), and
-//! 3. micro-batches concurrent misses across a shared worker pool
-//!    ([`server`], `hems_sim::WorkerPool`), so N clients asking related
-//!    questions cost one fan-out, not N solver runs.
+//! 3. solves each miss on the connection thread that read it
+//!    ([`server`]), so one connection's answers leave in request order.
 //!
-//! Admission control keeps the service honest under load: the miss queue
-//! is bounded and a full queue answers `overloaded` instead of queueing
+//! Admission control keeps the service honest under load: at most
+//! `threads` misses solve at once, a bounded number wait for a permit,
+//! and a miss beyond that answers `overloaded` instead of waiting
 //! without limit. A `stats` query exposes counters and latency
 //! percentiles; a `metrics` query returns the full `hems_obs` telemetry
 //! snapshot (the process-global sweep/pool/LUT series merged with this
 //! server's `serve.*` series — see `DESIGN.md` §12); `shutdown` drains
-//! in-flight batches before stopping.
+//! in-flight solves before stopping.
 //!
 //! Everything is `std`-only — the wire format is the workspace's one
 //! JSON codec, `hems_obs::json` (re-exported here as [`json`]), the

@@ -2,7 +2,7 @@
 //!
 //! One [`PlanJob`] is one cache miss: a fully materialized `(query kind,
 //! SystemConfig, SweepPolicy, spec)` tuple whose [`answer`] runs on the
-//! sim crate's worker pool. Answers are JSON result objects (the `result`
+//! server's connection thread. Answers are JSON result objects (the `result`
 //! field of an `ok` response); failures are rendered strings (the `error`
 //! field of an `error` response).
 //!
@@ -20,12 +20,13 @@
 //! budget is the plan cache, not the LUT fast path, so misses pay the
 //! reference-quality solve and hits are free. The one thing a miss does
 //! not solve is the bypass crossover: it is a constant of the regulator
-//! topology, calibrated once per process on first use. Sweep misses
-//! additionally expose their scenario through [`scenario_for`] so the
-//! server can run a whole micro-batch of them through the sweep engine's
-//! chunked batch entry (`hems_sim::sweep::run_scenarios_chunked`) — same
-//! exact models, byte-identical answers, one pool round-trip per chunk
-//! instead of per key — and render each outcome with [`sweep_answer`].
+//! topology, calibrated once per process on first use. Sweep jobs
+//! additionally expose their scenario through [`scenario_for`] and render
+//! an engine outcome with [`sweep_answer`], so a caller holding many of
+//! them (the conformance oracles, the repository benchmark) can run the
+//! list through the sweep engine's chunked entry
+//! (`hems_sim::sweep::run_scenarios_chunked`) — same exact models,
+//! byte-identical answers to the [`answer`] a miss runs.
 
 use crate::json::Value;
 use crate::proto::{effective_duration, QueryKind, RegulatorChoice, ScenarioSpec};
@@ -234,8 +235,8 @@ fn sprint_plan(job: &PlanJob) -> Result<Value, String> {
 }
 
 /// Materializes the transient scenario a sweep-summary job describes —
-/// shared by the single-miss path here and the server's batched sweep
-/// path. `index` is the scenario's position in whatever list the caller
+/// shared by the single-miss path here and callers that run many jobs
+/// through the chunked sweep engine. `index` is the scenario's position in whatever list the caller
 /// assembles (0 for a solo run).
 pub fn scenario_for(job: &PlanJob, index: usize) -> Scenario {
     Scenario {
@@ -482,9 +483,9 @@ mod tests {
 
     #[test]
     fn batched_sweep_answers_are_byte_identical_to_solo_ones() {
-        // The server runs a micro-batch of sweep misses through the sweep
-        // engine's chunked entry; both paths use the exact models, so the
-        // rendered answers must agree byte-for-byte.
+        // Conformance and the repository benchmark run lists of sweep jobs
+        // through the sweep engine's chunked entry; both paths use the
+        // exact models, so the rendered answers must agree byte-for-byte.
         let jobs: Vec<PlanJob> = [1.0, 0.5, 0.25]
             .into_iter()
             .map(|g| job(QueryKind::SweepSummary, g))

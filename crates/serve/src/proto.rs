@@ -1,8 +1,9 @@
 //! The wire protocol: newline-delimited JSON requests and responses.
 //!
 //! One request per line, one response per line, matched by an `id` field
-//! the server echoes back verbatim — responses may arrive out of request
-//! order (cache hits overtake batched misses), so clients correlate by id.
+//! the server echoes back verbatim. One connection's requests are
+//! answered in order; clients still correlate by id, the one contract
+//! that holds across a router and retries.
 //!
 //! ## Request shape
 //!

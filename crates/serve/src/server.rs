@@ -1,48 +1,42 @@
-//! The service: the line handler and the micro-batcher, on the shared
-//! line-server skeleton in [`crate::wire`].
+//! The service: the line handler, on the shared line-server skeleton in
+//! [`crate::wire`]. Every request, cache miss included, is answered on
+//! the connection thread that read it.
 //!
 //! ## Thread anatomy
 //!
 //! The skeleton owns the acceptor and one connection thread per client;
-//! this module supplies the per-line handler and the batcher:
+//! this module supplies the per-line handler:
 //!
 //! ```text
 //! line handler (on the connection thread)
 //!    │  parse → stats/metrics/shutdown inline
 //!    │  cache hit → respond inline (cached: true)
-//!    │  cache miss → bounded queue ──► batcher ──► worker pool
-//!    │  queue full → overloaded          │  (fan out one batch,
-//!    ▼                                   ▼   in-batch dedup)
-//!  LineWriter ◄────────── responses written per-pending
+//!    │  cache miss → solve permit → planner::answer → cache insert
+//!    │  no permit and max_queue already waiting → overloaded
+//!    ▼
+//!  LineWriter ◄── one response per request, in request order
 //! ```
 //!
 //! ## Admission control
 //!
-//! The miss queue is bounded ([`ServeConfig::max_queue`]). A full queue
-//! refuses the request with an explicit `overloaded` response instead of
-//! queueing unboundedly — under a compute-bound load the client learns to
-//! back off within one round trip, and accepted requests keep a bounded
-//! latency. Cache hits, `stats`, and errors bypass the queue entirely, so
-//! an overloaded server still answers cheap traffic.
-//!
-//! ## Batching
-//!
-//! The batcher drains up to [`ServeConfig::max_batch`] pending misses at a
-//! time, dedupes them by cache key (concurrent identical misses share one
-//! solve), and fans the distinct jobs out across the sim crate's
-//! [`WorkerPool`]. Results are rendered once, inserted into the cache, and
-//! written to every waiter of that key.
+//! At most [`ServeConfig::threads`] misses solve at once, and at most
+//! [`ServeConfig::max_queue`] more wait for a permit. Beyond that a miss
+//! is refused with an explicit `overloaded` response instead of waiting
+//! unboundedly — under a compute-bound load the client learns to back off
+//! within one round trip, and accepted requests keep a bounded latency.
+//! Cache hits, `stats`, and errors take no permit, so an overloaded
+//! server still answers cheap traffic.
 //!
 //! ## Shutdown
 //!
 //! A `shutdown` query (or [`ServerHandle::shutdown`]) raises the stop
-//! flag, which also wakes the acceptor out of `accept`, wakes the
-//! batcher, and *drains*: every request already accepted into the queue
-//! is answered before the batcher exits and the pool joins.
-//! Requests arriving after the flag see `overloaded` with a "shutting
-//! down" reason.
+//! flag, which also wakes the acceptor out of `accept`, and *drains*:
+//! every miss already solving or waiting for a permit is answered before
+//! the `drained` latch opens. Misses arriving after the flag see
+//! `overloaded` with a "shutting down" reason.
 
 use crate::cache::PlanCache;
+use crate::json::Value;
 use crate::planner::{self, PlanJob};
 use crate::proto::{
     error_response, ok_response, overloaded_response, retryable_error_response, QueryKind, Request,
@@ -51,27 +45,26 @@ use crate::stats::ServeStats;
 use crate::wire::{self, AcceptStop, LinePolicy, LineWriter};
 use hems_obs::clock::monotonic_ns;
 use hems_obs::{relock, Latch};
-use hems_sim::WorkerPool;
-use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Tuning knobs for a server instance.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads for plan solves (`None` → `HEMS_THREADS` or the
-    /// machine's parallelism, like the sweep engine).
+    /// Most plan solves running at once, each on the connection thread
+    /// that read its request (`None` → `HEMS_THREADS` or the machine's
+    /// parallelism, like the sweep engine).
     pub threads: Option<usize>,
     /// Total plan-cache entries across shards.
     pub cache_capacity: usize,
-    /// Bounded miss-queue depth; beyond it requests get `overloaded`.
+    /// Most misses waiting for a solve permit; beyond it requests get
+    /// `overloaded`.
     pub max_queue: usize,
-    /// Most misses fanned out in one batch.
-    pub max_batch: usize,
     /// Longest accepted request line, bytes (DoS guard).
     pub max_line_bytes: usize,
     /// Per-connection read deadline. A client that stays silent (or drips
@@ -82,10 +75,11 @@ pub struct ServeConfig {
     /// receive window cannot pin a writer forever. `None` disables it.
     pub write_timeout: Option<Duration>,
     /// Deterministic fault injection for chaos campaigns: `Some(n)` makes
-    /// every n-th batched job panic inside the worker pool instead of
-    /// solving. The panic exercises the real isolation path — the slot's
-    /// waiters get a retryable degraded response, the batch survives, the
-    /// `faults` counter ticks. `None` (the default) injects nothing.
+    /// every n-th solve panic on its connection thread instead of
+    /// solving. The panic exercises the real isolation path — the
+    /// `catch_unwind` around the solve turns it into a retryable degraded
+    /// response for that request, the connection and the server carry on,
+    /// the `faults` counter ticks. `None` (the default) injects nothing.
     pub inject_panic_one_in: Option<u64>,
     /// Shard identity for router-fronted deployments: when set, `stats`
     /// responses carry a `shard` field. The router's connect handshake
@@ -102,7 +96,6 @@ impl Default for ServeConfig {
             threads: None,
             cache_capacity: 1024,
             max_queue: 256,
-            max_batch: 32,
             max_line_bytes: 64 * 1024,
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(10)),
@@ -112,45 +105,49 @@ impl Default for ServeConfig {
     }
 }
 
-/// One accepted cache miss waiting for the batcher.
-struct Pending {
-    id: crate::json::Value,
-    job: PlanJob,
-    conn: LineWriter,
-    accepted_at: u64,
+/// The solve permits' state: misses waiting for a permit, misses holding
+/// one, and misses solved but not yet written back.
+#[derive(Debug, Default)]
+struct Permits {
+    waiting: usize,
+    solving: usize,
+    answering: usize,
+}
+
+impl Permits {
+    /// No admitted miss is waiting, solving or unanswered.
+    fn idle(&self) -> bool {
+        self.waiting == 0 && self.solving == 0 && self.answering == 0
+    }
 }
 
 struct Shared {
     config: ServeConfig,
+    /// Permits: the resolved [`ServeConfig::threads`].
+    threads: usize,
     cache: PlanCache,
     stats: ServeStats,
-    queue: Mutex<VecDeque<Pending>>,
-    queue_ready: Condvar,
-    /// Raised on shutdown: the acceptor exits and new work is refused.
+    permits: Mutex<Permits>,
+    permit_freed: Condvar,
+    /// Raised on shutdown: the acceptor exits and new misses are refused.
     stop: AcceptStop,
-    /// Opened when the batcher has drained and exited.
+    /// Opened once the stop flag is up and no admitted miss is unanswered.
     drained: Latch,
-    pool: WorkerPool,
-    /// Jobs dispatched to the pool so far — the deterministic counter the
+    /// Solves started so far — the deterministic counter the
     /// `inject_panic_one_in` chaos hook keys off.
-    jobs_dispatched: AtomicU64,
+    solves: AtomicU64,
 }
 
 impl Shared {
-    fn queue_depth(&self) -> usize {
-        relock(&self.queue).len()
-    }
-
     /// The `stats` response body: the counter snapshot, plus the shard
     /// identity when this server runs as a router-fronted shard.
-    fn stats_value(&self) -> crate::json::Value {
-        let snapshot =
-            self.stats
-                .snapshot(self.queue_depth(), self.cache.len(), self.pool.threads());
+    fn stats_value(&self) -> Value {
+        let waiting = relock(&self.permits).waiting;
+        let snapshot = self.stats.snapshot(waiting, self.cache.len(), self.threads);
         match (self.config.shard_id, snapshot) {
-            (Some(sid), crate::json::Value::Obj(mut fields)) => {
-                fields.push(("shard".to_string(), crate::json::Value::Num(sid as f64)));
-                crate::json::Value::Obj(fields)
+            (Some(sid), Value::Obj(mut fields)) => {
+                fields.push(("shard".to_string(), Value::Num(sid as f64)));
+                Value::Obj(fields)
             }
             (_, snapshot) => snapshot,
         }
@@ -158,18 +155,88 @@ impl Shared {
 
     fn begin_shutdown(&self) {
         self.stop.stop();
-        // Wake the batcher even if the queue is empty so it can exit.
-        self.queue_ready.notify_all();
+        let idle = relock(&self.permits).idle();
+        if idle {
+            self.drained.open();
+        }
+    }
+
+    /// Admits one miss: a solve permit now, or after waiting behind at
+    /// most `max_queue` others. The stop flag is checked under the permit
+    /// lock, so shutdown cannot race an admission past the drain. `Err`
+    /// is the refusal reason.
+    fn admit(&self) -> Result<Permit<'_>, &'static str> {
+        let mut permits = relock(&self.permits);
+        if self.stop.is_stopped() {
+            return Err("shutting down");
+        }
+        if permits.solving >= self.threads {
+            if permits.waiting >= self.config.max_queue {
+                return Err("queue full, back off and retry");
+            }
+            permits.waiting += 1;
+            permits = self
+                .permit_freed
+                .wait_while(permits, |p| p.solving >= self.threads)
+                .unwrap_or_else(PoisonError::into_inner);
+            permits.waiting -= 1;
+        }
+        permits.solving += 1;
+        self.stats.misses.inc();
+        Ok(Permit {
+            shared: self,
+            solving: true,
+        })
+    }
+}
+
+/// One admitted miss, from admission until its answer is written. It
+/// holds a solve permit until [`Permit::solved`]; dropping it ends the
+/// miss and, once the stop flag is up and nothing else is in flight,
+/// opens the drain latch.
+struct Permit<'a> {
+    shared: &'a Shared,
+    solving: bool,
+}
+
+impl Permit<'_> {
+    /// Hands the solve permit to the next waiting miss, so this miss's
+    /// render and write overlap the next solve. The miss stays in flight,
+    /// holding the drain latch shut, until dropped.
+    fn solved(&mut self) {
+        if !std::mem::replace(&mut self.solving, false) {
+            return;
+        }
+        {
+            let mut permits = relock(&self.shared.permits);
+            permits.solving -= 1;
+            permits.answering += 1;
+        }
+        self.shared.permit_freed.notify_one();
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.solved();
+        let shared = self.shared;
+        let drained = {
+            let mut permits = relock(&shared.permits);
+            permits.answering -= 1;
+            shared.stop.is_stopped() && permits.idle()
+        };
+        if drained {
+            shared.drained.open();
+        }
     }
 }
 
 /// A running server. Dropping the handle shuts the server down and joins
-/// its threads.
+/// its acceptor.
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    /// The acceptor and the batcher.
-    threads: Vec<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -179,26 +246,28 @@ impl ServerHandle {
     }
 
     /// Live service counters (the same snapshot a `stats` query returns).
-    pub fn stats_snapshot(&self) -> crate::json::Value {
+    pub fn stats_snapshot(&self) -> Value {
         self.shared.stats_value()
     }
 
-    /// Initiates graceful shutdown *without* joining: stops accepting,
-    /// wakes the batcher to drain, and returns immediately. This is the
+    /// Initiates graceful shutdown *without* joining: stops accepting
+    /// and returns immediately while admitted misses finish. This is the
     /// drain hook a supervisor (the router's drain-and-rejoin protocol,
     /// the chaos crash/restart surface) uses to take a backend out of
-    /// rotation while its in-flight batches still complete; follow with
+    /// rotation while its in-flight solves still complete; follow with
     /// [`ServerHandle::wait`] or [`ServerHandle::shutdown`] to join.
     pub fn begin_drain(&self) {
         self.shared.begin_shutdown();
     }
 
-    /// Initiates graceful shutdown and blocks until in-flight work drains.
+    /// Initiates graceful shutdown and blocks until every admitted miss
+    /// is answered and the acceptor has exited.
     pub fn shutdown(&mut self) {
         self.shared.begin_shutdown();
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
         }
+        self.shared.drained.wait(None);
     }
 
     /// Blocks until the server shuts down (e.g. by a wire `shutdown`
@@ -224,17 +293,16 @@ pub fn serve<A: ToSocketAddrs>(addr: A, config: ServeConfig) -> io::Result<Serve
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let stop = AcceptStop::for_listener(&listener)?;
-    let pool = WorkerPool::with_default_threads(config.threads);
     let stats = ServeStats::new();
     let shared = Arc::new(Shared {
+        threads: hems_sim::sweep::resolved_threads(config.threads),
         cache: PlanCache::with_registry(config.cache_capacity, stats.registry()),
         stats,
-        queue: Mutex::new(VecDeque::new()),
-        queue_ready: Condvar::new(),
+        permits: Mutex::default(),
+        permit_freed: Condvar::new(),
         stop: stop.clone(),
         drained: Latch::default(),
-        pool,
-        jobs_dispatched: AtomicU64::new(0),
+        solves: AtomicU64::new(0),
         config,
     });
 
@@ -245,35 +313,20 @@ pub fn serve<A: ToSocketAddrs>(addr: A, config: ServeConfig) -> io::Result<Serve
         reaped: shared.stats.reaped.clone(),
         bad_lines: shared.stats.errors.clone(),
     };
-    // A spawn failure drops `handle`, which stops and joins whatever
-    // already started: without a batcher the server would accept and
-    // never answer.
-    let mut handle = ServerHandle {
-        addr,
-        shared: Arc::clone(&shared),
-        threads: Vec::new(),
-    };
     let accepted = Arc::clone(&shared);
-    handle.threads.push(wire::serve_lines(
-        listener,
-        "hems-serve",
-        policy,
-        stop,
-        move || {
-            let shared = Arc::clone(&accepted);
-            move |line: &str, out: &LineWriter| handle_line(&shared, line, out)
-        },
-    )?);
-    handle.threads.push(
-        thread::Builder::new()
-            .name("hems-serve-batch".to_string())
-            .spawn(move || batch_loop(&shared))?,
-    );
-    Ok(handle)
+    let acceptor = wire::serve_lines(listener, "hems-serve", policy, stop, move || {
+        let shared = Arc::clone(&accepted);
+        move |line: &str, out: &LineWriter| handle_line(&shared, line, out)
+    })?;
+    Ok(ServerHandle {
+        addr,
+        shared,
+        acceptor: Some(acceptor),
+    })
 }
 
 /// Answers one request line; `false` closes the connection.
-fn handle_line(shared: &Arc<Shared>, line: &str, out: &LineWriter) -> bool {
+fn handle_line(shared: &Shared, line: &str, out: &LineWriter) -> bool {
     let started = monotonic_ns();
     shared.stats.requests.inc();
     let request = match Request::parse_line(line) {
@@ -294,8 +347,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str, out: &LineWriter) -> bool {
             .merged(shared.stats.registry().snapshot())
             .to_value(),
         QueryKind::Shutdown => {
-            let draining =
-                crate::json::Value::obj(vec![("draining", crate::json::Value::Bool(true))]);
+            let draining = Value::obj(vec![("draining", Value::Bool(true))]);
             let _ = out.send(&ok_response(&request.id, false, draining));
             shared.begin_shutdown();
             return false;
@@ -310,7 +362,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str, out: &LineWriter) -> bool {
     true
 }
 
-fn handle_plan_query(shared: &Arc<Shared>, writer: &LineWriter, request: Request, started: u64) {
+fn handle_plan_query(shared: &Shared, writer: &LineWriter, request: Request, started: u64) {
     let Some(spec) = request.scenario else {
         // Parsing guarantees plan queries carry a scenario; answer rather
         // than crash the connection if that invariant ever slips.
@@ -335,38 +387,76 @@ fn handle_plan_query(shared: &Arc<Shared>, writer: &LineWriter, request: Request
         shared.stats.record_latency_ns(elapsed_ns(started));
         return;
     }
-    // Admission control: refuse instead of queueing unboundedly. The
-    // stop flag is checked under the queue lock so shutdown cannot race
-    // an enqueue past the drain.
-    let refused = {
-        let mut queue = relock(&shared.queue);
-        if shared.stop.is_stopped() {
-            Some("shutting down")
-        } else if queue.len() >= shared.config.max_queue {
-            Some("queue full, back off and retry")
-        } else {
-            shared.stats.misses.inc();
-            queue.push_back(Pending {
-                id: request.id.clone(),
-                job,
-                conn: writer.clone(),
-                accepted_at: started,
-            });
-            None
-        }
-    };
-    match refused {
-        Some(reason) => {
+    // Admission control: refuse instead of waiting unboundedly.
+    let mut permit = match shared.admit() {
+        Ok(permit) => permit,
+        Err(reason) => {
             shared.stats.overloaded.inc();
             let _ = writer.send(&overloaded_response(&request.id, reason));
+            return;
         }
-        None => shared.queue_ready.notify_one(),
+    };
+    let line = solve(shared, &request.id, &job, &mut permit);
+    // Recorded before the write, so a client that has read its answer
+    // and then asks for `stats` or `metrics` anywhere sees it counted.
+    shared.stats.record_latency_ns(elapsed_ns(started));
+    let _ = writer.send(&line);
+    // Dropped only now: the drain latch opens once every admitted miss
+    // is on the wire.
+    drop(permit);
+}
+
+/// Solves one admitted miss, frees its solve permit, and renders its
+/// response line; an `ok` result is cached.
+fn solve(shared: &Shared, id: &Value, job: &PlanJob, permit: &mut Permit<'_>) -> String {
+    let nth = shared.solves.fetch_add(1, Ordering::Relaxed) + 1;
+    let inject = shared
+        .config
+        .inject_panic_one_in
+        .is_some_and(|n| n > 0 && nth.is_multiple_of(n));
+    let started = monotonic_ns();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if inject {
+            // hems-lint: allow(panic, reason = "chaos hook: opt-in injected solve fault, caught by the catch_unwind around it")
+            panic!("chaos: injected worker fault");
+        }
+        planner::answer(job)
+    }));
+    shared.stats.record_solve_ns(elapsed_ns(started));
+    permit.solved();
+    match outcome {
+        Ok(Ok(result)) => {
+            let rendered = result.render();
+            let line = ok_line(id, false, &rendered);
+            shared.cache.insert(job.key, rendered);
+            line
+        }
+        Ok(Err(message)) => {
+            // A semantic failure (malformed scenario, infeasible plan):
+            // resubmitting the same request cannot succeed, so the error
+            // is terminal. Not cached — a transiently infeasible plan
+            // (e.g. a race on darkness) should not poison the key.
+            shared.stats.errors.inc();
+            error_response(id, &message)
+        }
+        Err(panic) => {
+            // A panicking solve is a *fault*, not a verdict about the
+            // request: the response is marked retryable so a well-behaved
+            // client resubmits, and the connection carries on.
+            shared.stats.faults.inc();
+            let message = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            retryable_error_response(id, &format!("internal fault: {message}"))
+        }
     }
 }
 
 /// Renders an `ok` response by splicing an already-rendered result —
-/// cache hits and batch fan-out never re-serialize the result object.
-fn ok_line(id: &crate::json::Value, cached: bool, rendered_result: &str) -> String {
+/// cache hits and fresh solves never re-serialize the result object.
+fn ok_line(id: &Value, cached: bool, rendered_result: &str) -> String {
     let mut line = String::with_capacity(rendered_result.len() + 48);
     line.push_str("{\"id\":");
     line.push_str(&id.render());
@@ -382,159 +472,6 @@ fn elapsed_ns(started_ns: u64) -> f64 {
     monotonic_ns().saturating_sub(started_ns) as f64
 }
 
-fn batch_loop(shared: &Arc<Shared>) {
-    loop {
-        let batch: Vec<Pending> = {
-            let mut queue = relock(&shared.queue);
-            loop {
-                if !queue.is_empty() {
-                    let n = queue.len().min(shared.config.max_batch);
-                    break queue.drain(..n).collect();
-                }
-                if shared.stop.is_stopped() {
-                    // Queue empty and no new work can arrive: drained.
-                    drop(queue);
-                    shared.drained.open();
-                    return;
-                }
-                queue = shared
-                    .queue_ready
-                    .wait(queue)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        };
-
-        // In-batch dedup: waiters grouped per key, one solve per key.
-        let mut waiters: HashMap<u64, Vec<Pending>> = HashMap::new();
-        let mut jobs: Vec<PlanJob> = Vec::new();
-        for pending in batch {
-            let entry = waiters.entry(pending.job.key).or_default();
-            if entry.is_empty() {
-                jobs.push(pending.job.clone());
-            }
-            entry.push(pending);
-        }
-        shared.stats.record_batch(jobs.len());
-
-        // Partition the deduped misses: sweep summaries ride the sweep
-        // engine's chunked batch entry — the whole micro-batch becomes one
-        // scenario list, whole chunks travel the pool per job, and answers
-        // come back in list order through the same exact device models, so
-        // responses stay byte-identical to the per-job path. Everything
-        // else (analytic solves, plus any chaos-injected job so the fault
-        // hook keeps its per-key blast radius) takes a pool slot of its
-        // own via run_jobs_result.
-        let mut unit_jobs: Vec<(u64, PlanJob, bool)> = Vec::new();
-        let mut sweep_jobs: Vec<(u64, PlanJob)> = Vec::new();
-        for job in jobs {
-            let nth = shared.jobs_dispatched.fetch_add(1, Ordering::Relaxed) + 1;
-            let inject = shared
-                .config
-                .inject_panic_one_in
-                .is_some_and(|n| n > 0 && nth.is_multiple_of(n));
-            if job.kind == QueryKind::SweepSummary && !inject {
-                sweep_jobs.push((job.key, job));
-            } else {
-                unit_jobs.push((job.key, job, inject));
-            }
-        }
-
-        // Outcome per key: Ok(answer-or-semantic-error) or Err(fault text).
-        type KeyedOutcome = (u64, Result<Result<crate::json::Value, String>, String>);
-        let mut outcomes: Vec<KeyedOutcome> = Vec::new();
-        if !sweep_jobs.is_empty() {
-            let scenarios: Vec<_> = sweep_jobs
-                .iter()
-                .enumerate()
-                .map(|(i, (_, job))| planner::scenario_for(job, i))
-                .collect();
-            // The integrator is panic-free by contract; the guard keeps a
-            // violation degrading this batch's sweep keys (retryably)
-            // instead of killing the batcher thread.
-            let chunked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                hems_sim::sweep::run_scenarios_chunked(
-                    &scenarios,
-                    &shared.pool,
-                    hems_sim::sweep::BATCH_LANES,
-                )
-            }));
-            match chunked {
-                Ok(results) => {
-                    for ((key, _), result) in sweep_jobs.iter().zip(results) {
-                        outcomes.push((*key, Ok(planner::sweep_answer(result))));
-                    }
-                }
-                Err(_) => {
-                    for (key, _) in &sweep_jobs {
-                        outcomes
-                            .push((*key, Err("internal fault: sweep batch paniced".to_string())));
-                    }
-                }
-            }
-        }
-
-        // run_jobs_result isolates a panicking solve to its own slot:
-        // that key's waiters get an error response and every other job
-        // in the batch (and the pool itself) carries on.
-        let unit_keys: Vec<u64> = unit_jobs.iter().map(|(key, _, _)| *key).collect();
-        let answers = shared.pool.run_jobs_result(
-            unit_jobs
-                .into_iter()
-                .map(|(_, job, inject)| {
-                    move || {
-                        if inject {
-                            // hems-lint: allow(panic, reason = "chaos hook: opt-in injected worker fault, caught by run_jobs_result")
-                            panic!("chaos: injected worker fault");
-                        }
-                        planner::answer(&job)
-                    }
-                })
-                .collect::<Vec<_>>(),
-        );
-        for (key, outcome) in unit_keys.into_iter().zip(answers) {
-            outcomes.push((
-                key,
-                outcome.map_err(|panic| format!("internal fault: {}", panic.message())),
-            ));
-        }
-
-        // This thread answers on other threads' connections, so each
-        // latency is recorded before its line is written: a client that
-        // has read an answer and then asks for `stats` or `metrics` on
-        // its own connection always sees that answer counted.
-        for (key, outcome) in outcomes {
-            let respond: Box<dyn Fn(&crate::json::Value) -> String> = match outcome {
-                Ok(Ok(result)) => {
-                    let rendered = result.render();
-                    shared.cache.insert(key, rendered.clone());
-                    Box::new(move |id| ok_line(id, false, &rendered))
-                }
-                Ok(Err(message)) => {
-                    // A semantic failure (malformed scenario, infeasible
-                    // plan): resubmitting the same request cannot succeed,
-                    // so the error is terminal. Not cached — a transiently
-                    // infeasible plan (e.g. a race on darkness) should not
-                    // poison the key.
-                    shared.stats.errors.inc();
-                    Box::new(move |id| error_response(id, &message))
-                }
-                Err(message) => {
-                    // A worker panic is a *fault*, not a verdict about the
-                    // request: only this key's waiters degrade (the rest of
-                    // the batch already has answers) and the response is
-                    // marked retryable so a well-behaved client resubmits.
-                    shared.stats.faults.inc();
-                    Box::new(move |id| retryable_error_response(id, &message))
-                }
-            };
-            for p in waiters.remove(&key).unwrap_or_default() {
-                shared.stats.record_latency_ns(elapsed_ns(p.accepted_at));
-                let _ = p.conn.send(&respond(&p.id));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,13 +479,13 @@ mod tests {
     use crate::proto::ScenarioSpec;
     use std::io::{BufRead, BufReader, Read, Write};
     use std::net::TcpStream;
+    use std::thread;
 
     fn small_config() -> ServeConfig {
         ServeConfig {
             threads: Some(2),
             cache_capacity: 64,
             max_queue: 64,
-            max_batch: 8,
             max_line_bytes: 16 * 1024,
             ..ServeConfig::default()
         }
@@ -663,7 +600,7 @@ mod tests {
     #[test]
     fn injected_worker_faults_degrade_to_retryable_errors() {
         let config = ServeConfig {
-            inject_panic_one_in: Some(2), // every 2nd batched job panics
+            inject_panic_one_in: Some(2), // every 2nd solve panics
             ..small_config()
         };
         let mut handle = serve("127.0.0.1:0", config).unwrap();
@@ -673,16 +610,16 @@ mod tests {
             &Request::render_line(1, QueryKind::Mep, Some(&ScenarioSpec::baseline(0.5))),
         );
         assert_eq!(first.get("status").and_then(Value::as_str), Some("ok"));
-        // A distinct scenario forces a second solve: job #2 panics in the
-        // pool, and the waiter gets a retryable degraded response instead
-        // of a dead connection or a dead server.
+        // A distinct scenario forces a second solve: solve #2 panics on
+        // the connection thread, and the request gets a retryable degraded
+        // response instead of a dead connection or a dead server.
         let second = query_line(
             &mut stream,
             &Request::render_line(2, QueryKind::Mep, Some(&ScenarioSpec::baseline(0.6))),
         );
         assert_eq!(second.get("status").and_then(Value::as_str), Some("error"));
         assert_eq!(second.get("retryable").and_then(Value::as_bool), Some(true));
-        // The batch pipeline survived the panic.
+        // The connection survived the panic.
         let stats = query_line(&mut stream, r#"{"id":3,"query":"stats"}"#);
         assert_eq!(stats.get("status").and_then(Value::as_str), Some("ok"));
         assert_eq!(

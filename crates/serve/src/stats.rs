@@ -17,11 +17,11 @@
 //! exact sort-based percentile the offline benches report with.
 
 use crate::json::Value;
-use hems_obs::{Counter, Gauge, Histogram, Registry};
+use hems_obs::{Counter, Histogram, Registry};
 use std::sync::Arc;
 
-/// Counters plus the service-latency histogram, all backed by a
-/// per-server [`Registry`].
+/// Counters plus the service-latency and solve-time histograms, all
+/// backed by a per-server [`Registry`].
 #[derive(Debug, Clone)]
 pub struct ServeStats {
     registry: Arc<Registry>,
@@ -29,23 +29,18 @@ pub struct ServeStats {
     pub requests: Counter,
     /// Plan-cache hits.
     pub hits: Counter,
-    /// Plan-cache misses (accepted into the batch queue).
+    /// Plan-cache misses admitted to a solve.
     pub misses: Counter,
     /// Requests refused by admission control.
     pub overloaded: Counter,
     /// Requests answered with `status: error`.
     pub errors: Counter,
-    /// Worker-pool panics answered with a retryable degraded response.
+    /// Solve panics answered with a retryable degraded response.
     pub faults: Counter,
     /// Connections reaped by the read deadline (idle/slow-loris).
     pub reaped: Counter,
-    /// Batches executed.
-    pub batches: Counter,
-    /// Jobs executed across all batches (after in-batch dedup).
-    pub batched_jobs: Counter,
-    /// Largest batch observed.
-    pub max_batch: Gauge,
     latency: Histogram,
+    solve: Histogram,
 }
 
 impl ServeStats {
@@ -60,10 +55,8 @@ impl ServeStats {
             errors: registry.counter("serve.errors"),
             faults: registry.counter("serve.faults"),
             reaped: registry.counter("serve.reaped"),
-            batches: registry.counter("serve.batches"),
-            batched_jobs: registry.counter("serve.batched_jobs"),
-            max_batch: registry.gauge("serve.max_batch"),
             latency: registry.histogram("serve.latency_ns"),
+            solve: registry.histogram("serve.solve_ns"),
             registry,
         }
     }
@@ -74,16 +67,14 @@ impl ServeStats {
         &self.registry
     }
 
-    /// Records one batch's size (count + max).
-    pub fn record_batch(&self, jobs: usize) {
-        self.batches.inc();
-        self.batched_jobs.add(jobs as u64);
-        self.max_batch.set_max(jobs as i64);
-    }
-
     /// Records one request's service latency (receipt → response write).
     pub fn record_latency_ns(&self, ns: f64) {
         self.latency.record(ns.max(0.0) as u64);
+    }
+
+    /// Records one miss's solve time (`planner::answer`, panics included).
+    pub fn record_solve_ns(&self, ns: f64) {
+        self.solve.record(ns.max(0.0) as u64);
     }
 
     /// The latency percentiles `(p50, p95)` in nanoseconds from the
@@ -96,8 +87,9 @@ impl ServeStats {
         Some((snap.quantile(0.50), snap.quantile(0.95)))
     }
 
-    /// The stats snapshot served to a `stats` query. `queue_depth` and
-    /// `cache_entries` are sampled by the caller (they live outside this
+    /// The stats snapshot served to a `stats` query. `queue_depth`
+    /// (misses waiting for a solve permit), `cache_entries` and `workers`
+    /// (solve permits) are sampled by the caller (they live outside this
     /// struct).
     pub fn snapshot(&self, queue_depth: usize, cache_entries: usize, workers: usize) -> Value {
         let load = |c: &Counter| Value::Num(c.total() as f64);
@@ -114,9 +106,6 @@ impl ServeStats {
             ("errors", load(&self.errors)),
             ("faults", load(&self.faults)),
             ("reaped", load(&self.reaped)),
-            ("batches", load(&self.batches)),
-            ("batched_jobs", load(&self.batched_jobs)),
-            ("max_batch", Value::Num(self.max_batch.value() as f64)),
             ("queue_depth", Value::Num(queue_depth as f64)),
             ("cache_entries", Value::Num(cache_entries as f64)),
             ("workers", Value::Num(workers as f64)),
@@ -199,11 +188,9 @@ mod tests {
     fn snapshot_renders_every_counter() {
         let stats = ServeStats::new();
         stats.requests.add(3);
-        stats.record_batch(5);
         stats.record_latency_ns(42.0);
         let snap = stats.snapshot(2, 7, 4);
         assert_eq!(snap.get("requests").and_then(Value::as_f64), Some(3.0));
-        assert_eq!(snap.get("max_batch").and_then(Value::as_f64), Some(5.0));
         assert_eq!(snap.get("queue_depth").and_then(Value::as_f64), Some(2.0));
         assert_eq!(snap.get("cache_entries").and_then(Value::as_f64), Some(7.0));
         assert_eq!(snap.get("workers").and_then(Value::as_f64), Some(4.0));

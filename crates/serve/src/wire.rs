@@ -6,11 +6,11 @@
 
 use crate::json::Value;
 use crate::proto::error_response;
-use hems_obs::{relock, Counter};
+use hems_obs::Counter;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -59,7 +59,7 @@ pub fn read_line_bounded<R: Read>(reader: &mut R, max_bytes: usize) -> io::Resul
 /// # Errors
 ///
 /// Propagates the underlying write error.
-pub fn send_line(stream: &mut TcpStream, line: &str) -> io::Result<()> {
+pub fn send_line(mut stream: impl Write, line: &str) -> io::Result<()> {
     let mut framed = Vec::with_capacity(line.len() + 1);
     framed.extend_from_slice(line.as_bytes());
     framed.push(b'\n');
@@ -192,11 +192,10 @@ pub struct LinePolicy {
     pub bad_lines: Counter,
 }
 
-/// One connection's write half, shared by its connection thread and any
-/// thread answering on its behalf (serve's batcher). Each line goes out
-/// whole, as one `write_all` under the lock, so lines never interleave.
-#[derive(Debug, Clone)]
-pub struct LineWriter(Arc<Mutex<TcpStream>>);
+/// One connection's write half. Only its connection thread writes, one
+/// whole line per `write_all`, so answers leave in request order.
+#[derive(Debug)]
+pub struct LineWriter(TcpStream);
 
 impl LineWriter {
     /// Sends one line.
@@ -205,9 +204,7 @@ impl LineWriter {
     ///
     /// The underlying write error (a closed peer, an expired deadline).
     pub fn send(&self, line: &str) -> io::Result<()> {
-        let mut stream = relock(&self.0);
-        // hems-lint: allow(lock_order, reason = "the writer lock exists to serialize whole lines between the connection thread and the batcher; it guards only this socket and is held for exactly one write_all")
-        send_line(&mut stream, line)
+        send_line(&self.0, line)
     }
 }
 
@@ -215,8 +212,8 @@ impl LineWriter {
 /// (Nagle plus delayed ACK would add ~40 ms per round trip) and the
 /// policy's deadlines on each client, then serves it on a `{name}-conn`
 /// thread with a fresh handler from `new_handler`. The handler sees each
-/// non-blank line and answers on the [`LineWriter`], now or later;
-/// returning `false` closes the connection.
+/// non-blank line and answers it on the [`LineWriter`] before the next
+/// line is read; returning `false` closes the connection.
 ///
 /// # Errors
 ///
@@ -251,7 +248,7 @@ where
     let Ok(writer) = stream.try_clone() else {
         return;
     };
-    let out = LineWriter(Arc::new(Mutex::new(writer)));
+    let out = LineWriter(writer);
     let mut reader = BufReader::new(stream);
     loop {
         match read_line_bounded(&mut reader, policy.max_line_bytes) {

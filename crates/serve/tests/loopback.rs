@@ -6,10 +6,14 @@
 //! 1. **Throughput without corruption** — 4 concurrent clients issuing
 //!    1200+ pipelined mixed queries get exactly one well-formed response
 //!    per request (correlated by id), with zero errors and a busy cache.
-//! 2. **Admission control** — a saturated miss queue refuses with
-//!    explicit `overloaded` responses instead of hanging or dropping.
+//! 2. **Admission control** — misses beyond the solve permits and the
+//!    bounded wait are refused with explicit `overloaded` responses
+//!    instead of hanging or dropping.
 //! 3. **Graceful shutdown** — every request accepted before a `shutdown`
 //!    is answered before the server exits.
+//!
+//! One connection's answers leave in request order: each miss is solved
+//! on the connection thread that read it.
 
 use hems_serve::json::{parse, Value};
 use hems_serve::proto::{PolicySpec, QueryKind, Request, ScenarioSpec};
@@ -17,6 +21,7 @@ use hems_serve::{serve, ServeConfig};
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::{Arc, Barrier};
 
 fn connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
     let stream = TcpStream::connect(addr).expect("connect");
@@ -90,8 +95,7 @@ fn four_concurrent_clients_thousand_plus_mixed_queries_no_errors() {
                 let mut answered = 0usize;
                 for base in (0..per_client).step_by(chunk) {
                     // Pipeline a chunk, then collect its responses by id —
-                    // responses legitimately arrive out of order (hits
-                    // overtake batched misses).
+                    // the id is the contract, not arrival order.
                     let mut outstanding = HashSet::new();
                     for i in base..(base + chunk).min(per_client) {
                         let id = (client * 1_000_000 + i) as i64;
@@ -167,39 +171,48 @@ fn four_concurrent_clients_thousand_plus_mixed_queries_no_errors() {
 
 #[test]
 fn saturated_queue_answers_overloaded_instead_of_hanging() {
-    // One worker, a 2-deep queue, 2-wide batches: a burst of 16 distinct
-    // slow queries outruns the drain by construction.
+    // One solve permit and a 2-deep wait: a burst of 16 distinct slow
+    // queries, one per connection, outruns the drain by construction.
     let mut handle = serve(
         "127.0.0.1:0",
         ServeConfig {
             threads: Some(1),
             cache_capacity: 64,
             max_queue: 2,
-            max_batch: 2,
             max_line_bytes: 16 * 1024,
             ..ServeConfig::default()
         },
     )
     .expect("bind");
-    let (mut stream, mut reader) = connect(handle.addr());
+    let addr = handle.addr();
 
     let burst = 16usize;
-    for i in 0..burst {
-        // Distinct irradiances → distinct keys → no dedup relief; a
-        // 20 ms transient each keeps the lone worker busy.
-        let mut spec = ScenarioSpec::baseline(0.90 - 0.05 * i as f64);
-        spec.duration = 0.02;
-        let line = Request::render_line(i as i64, QueryKind::SweepSummary, Some(&spec));
-        stream
-            .write_all(format!("{line}\n").as_bytes())
-            .expect("write");
-    }
+    let start = Arc::new(Barrier::new(burst));
+    let senders: Vec<_> = (0..burst)
+        .map(|i| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let (mut stream, mut reader) = connect(addr);
+                // Distinct irradiances → distinct keys → no cache relief;
+                // a 1 s transient (~13 ms to solve) each keeps the lone
+                // permit busy while the whole burst lands.
+                let mut spec = ScenarioSpec::baseline(0.90 - 0.05 * i as f64);
+                spec.duration = 1.0;
+                let line = Request::render_line(i as i64, QueryKind::SweepSummary, Some(&spec));
+                start.wait();
+                stream
+                    .write_all(format!("{line}\n").as_bytes())
+                    .expect("write");
+                read_response(&mut reader)
+            })
+        })
+        .collect();
 
     let mut ok = 0usize;
     let mut overloaded = 0usize;
     let mut seen = HashSet::new();
-    for _ in 0..burst {
-        let response = read_response(&mut reader);
+    for sender in senders {
+        let response = sender.join().expect("sender thread");
         let id = response.get("id").and_then(Value::as_f64).unwrap() as i64;
         assert!(seen.insert(id), "duplicate response for {id}");
         match response.get("status").and_then(Value::as_str) {
@@ -233,6 +246,49 @@ fn saturated_queue_answers_overloaded_instead_of_hanging() {
 }
 
 #[test]
+fn a_pipelined_hit_is_answered_after_the_slow_miss_before_it() {
+    let mut handle = serve(
+        "127.0.0.1:0",
+        ServeConfig {
+            threads: Some(1),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let (mut stream, mut reader) = connect(handle.addr());
+    let warm = Request::render_line(1, QueryKind::Mep, Some(&ScenarioSpec::baseline(0.5)));
+    stream
+        .write_all(format!("{warm}\n").as_bytes())
+        .expect("write");
+    let first = read_response(&mut reader);
+    assert_eq!(first.get("cached").and_then(Value::as_bool), Some(false));
+
+    // A slow miss, then a repeat of the warmed key, in one write: the
+    // hit is ready at once but must not overtake the miss.
+    let mut slow = ScenarioSpec::baseline(0.8);
+    slow.duration = 0.05;
+    let miss = Request::render_line(2, QueryKind::SweepSummary, Some(&slow));
+    let hit = Request::render_line(3, QueryKind::Mep, Some(&ScenarioSpec::baseline(0.5)));
+    stream
+        .write_all(format!("{miss}\n{hit}\n").as_bytes())
+        .expect("write");
+    for (id, cached) in [(2.0, false), (3.0, true)] {
+        let response = read_response(&mut reader);
+        assert_eq!(
+            response.get("id").and_then(Value::as_f64),
+            Some(id),
+            "answers leave in request order: {response:?}"
+        );
+        assert_eq!(response.get("status").and_then(Value::as_str), Some("ok"));
+        assert_eq!(
+            response.get("cached").and_then(Value::as_bool),
+            Some(cached)
+        );
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn metrics_query_returns_the_merged_telemetry_snapshot() {
     let mut handle = serve(
         "127.0.0.1:0",
@@ -245,7 +301,7 @@ fn metrics_query_returns_the_merged_telemetry_snapshot() {
     let (mut stream, mut reader) = connect(handle.addr());
 
     // A mixed workload first: every plan kind once (a cache miss that
-    // drives the solver, sweep and pool series on the global registry),
+    // drives the solver, and the sweep series on the global registry),
     // then again (a hit on the server's registry) with the identical
     // result bytes.
     for (i, kind) in KINDS.into_iter().enumerate() {
@@ -313,8 +369,13 @@ fn metrics_query_returns_the_merged_telemetry_snapshot() {
     };
     // Sweep series (global registry, driven by sweep_summary).
     assert!(counter("sweep.scenarios") >= 1.0, "sweep ran");
-    // Pool series (global registry, driven by the batcher's fan-out).
-    assert!(counter("pool.jobs") >= 5.0, "pool executed the misses");
+    // Solver series (per-server registry): one solve per miss.
+    let solve = series.get("serve.solve_ns").expect("solve histogram");
+    assert_eq!(
+        solve.get("count").and_then(Value::as_f64),
+        Some(5.0),
+        "every miss solved once, every hit not at all"
+    );
     // Cache series (per-server registry): one miss and one hit per kind.
     assert_eq!(counter("serve.cache.hits"), 5.0, "every repeat hit");
     assert_eq!(

@@ -5,8 +5,8 @@
 //! batches and destroys any hope of keeping the workers cache-warm.
 //! [`WorkerPool`] keeps a fixed set of named threads alive behind a shared
 //! injector queue and executes *batches* of jobs against them. The sweep's
-//! exact list engine ([`crate::sweep::run_scenarios_chunked`]), the batch
-//! engine's multi-thread dispatch and the serve batcher all run on it.
+//! exact list engine ([`crate::sweep::run_scenarios_chunked`]) and the
+//! batch engine's multi-thread dispatch run on it.
 //!
 //! * [`WorkerPool::run_jobs`] — the generic batch entry: any `FnOnce() -> T`
 //!   jobs, results returned **in submission order** (scatter-by-index, the

@@ -3,10 +3,10 @@
 //! hit), then ask for `metrics` and walk the returned telemetry snapshot.
 //!
 //! The snapshot is the `hems_obs` registry rendered as JSON — the global
-//! registry (sweep stages, worker pool, solver LUTs) merged with the
-//! server's own registry (requests, cache, latency histogram) — and this
+//! registry (sweep stages, solver LUTs) merged with the server's own
+//! registry (requests, cache, solve and latency histograms) — and this
 //! example doubles as a living check that every instrumented plane
-//! actually shows up on the wire: it asserts sweep, pool, cache, and
+//! actually shows up on the wire: it asserts sweep, solver, cache, and
 //! admission series are present before printing a digest.
 //!
 //! ```text
@@ -45,7 +45,7 @@ fn main() {
     let mut conn = BufReader::new(stream);
 
     // Workload: two distinct plans (cache misses), one repeat (cache
-    // hit), and a sweep summary to exercise the sweep engine + pool.
+    // hit), and a sweep summary to exercise the sweep engine.
     let spec = ScenarioSpec::baseline(0.5);
     let bright = ScenarioSpec::baseline(1.0);
     ask(&mut conn, 1, QueryKind::Mep, Some(&spec));
@@ -66,13 +66,13 @@ fn main() {
     // Every instrumented plane must be on the wire.
     let planes = [
         ("sweep", "sweep.scenarios"),
-        ("pool", "pool.jobs"),
+        ("solver", "serve.solve_ns"),
         ("cache", "serve.cache.hits"),
         ("admission", "serve.overloaded"),
     ];
     for (plane, name) in planes {
         assert!(
-            counter(series, name).is_some(),
+            series.get(name).is_some(),
             "{plane} series `{name}` missing from snapshot"
         );
     }
@@ -84,17 +84,19 @@ fn main() {
         "serve.cache.misses",
         "serve.overloaded",
         "sweep.scenarios",
-        "pool.jobs",
-        "pool.batches",
     ] {
         let value = counter(series, name).unwrap_or(0.0);
         println!("  {name:<24} {value}");
     }
-    if let Some(latency) = series.get("serve.latency_ns") {
-        let p50 = latency.get("p50").and_then(Value::as_f64).unwrap_or(0.0);
-        let p95 = latency.get("p95").and_then(Value::as_f64).unwrap_or(0.0);
-        let count = latency.get("count").and_then(Value::as_f64).unwrap_or(0.0);
-        println!("  serve.latency_ns         p50 {p50} ns, p95 {p95} ns over {count} requests");
+    for (name, what) in [
+        ("serve.solve_ns", "solves"),
+        ("serve.latency_ns", "requests"),
+    ] {
+        if let Some(histogram) = series.get(name) {
+            let field = |f: &str| histogram.get(f).and_then(Value::as_f64).unwrap_or(0.0);
+            let (p50, p95, count) = (field("p50"), field("p95"), field("count"));
+            println!("  {name:<24} p50 {p50} ns, p95 {p95} ns over {count} {what}");
+        }
     }
 
     assert!(
@@ -104,6 +106,14 @@ fn main() {
     assert!(
         counter(series, "sweep.scenarios").unwrap_or(0.0) >= 1.0,
         "the sweep summary must exercise the sweep engine"
+    );
+    assert_eq!(
+        series
+            .get("serve.solve_ns")
+            .and_then(|h| h.get("count"))
+            .and_then(Value::as_f64),
+        Some(3.0),
+        "the three misses must each be solved once"
     );
 
     ask(&mut conn, 6, QueryKind::Shutdown, None);

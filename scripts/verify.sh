@@ -162,7 +162,9 @@ echo "== obs: overhead + metrics smoke =="
 # the sweep with telemetry enabled and disabled (the <= 2% assertion only
 # fires in full, non-smoke runs) and writes $scratch/BENCH_obs.json; the example
 # stands up a loopback server, drives a mixed workload, and asserts the
-# `metrics` query returns sweep/pool/cache/admission series.
+# `metrics` query returns sweep/solver/cache/admission series (the solver
+# plane through `serve.solve_ns`: serve solves on its connection threads,
+# not the worker pool).
 HEMS_BENCH_SMOKE=1 cargo bench -q -p hems-bench --bench obs
 cargo run --release -q --example metrics_query > /dev/null
 
