@@ -27,9 +27,10 @@
 //! Smoke mode (`HEMS_BENCH_SMOKE=1`): one iteration of everything, no
 //! overhead assertion (one sample proves nothing).
 
-use hems_bench::harness::{measurement_json, percentile, Harness, Measurement};
+use hems_bench::harness::{measurement_json, Harness, Measurement};
 use hems_obs::clock::monotonic_ns;
 use hems_obs::json::Value;
+use hems_obs::stats::percentile;
 use hems_pv::Irradiance;
 use hems_sim::sweep::{self, SweepGrid};
 use hems_sim::WorkerPool;

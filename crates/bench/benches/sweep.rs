@@ -36,11 +36,12 @@
 //! resolution speedup claims are made at; the raw measurements keep full
 //! precision.
 
-use hems_bench::harness::{fmt_ns, measurement_json, percentile, Harness, Measurement};
+use hems_bench::harness::{measurement_json, Harness, Measurement};
 use hems_core::{frontier, mep, operating_point, optimal_voltage, CpuEvalBatch, PvSourceBatch};
 use hems_cpu::{CpuLut, Microprocessor};
 use hems_obs::clock::monotonic_ns;
 use hems_obs::json::Value;
+use hems_obs::stats::{fmt_ns, peak_rss_bytes, percentile};
 use hems_pv::{Irradiance, PvLut, SolarCell};
 use hems_regulator::{BuckRegulator, Ldo, Regulator, ScRegulator};
 use hems_sim::sweep::{self, SweepGrid};
@@ -505,7 +506,7 @@ fn main() {
         ),
         (
             "peak_rss_bytes",
-            match hems_bench::harness::peak_rss_bytes() {
+            match peak_rss_bytes() {
                 Some(rss) => Value::Num(rss as f64),
                 None => Value::Num(f64::NAN),
             },

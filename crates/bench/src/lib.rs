@@ -1,86 +1,13 @@
-//! Shared helpers for the figure-regeneration benches.
+//! The in-repo wall-clock benchmark harness and its two benches.
 //!
-//! Every `benches/figN_*.rs` target regenerates the data series of one
-//! figure from the paper's evaluation, prints the rows (so `cargo bench`
-//! output doubles as the reproduction record collected in EXPERIMENTS.md),
-//! and measures the computation that produced them on the in-repo
+//! `benches/sweep.rs` times the exact and batch sweep engines, the batch
+//! kernels and the LUT solvers (`BENCH_sweep.json`); `benches/obs.rs`
+//! prices the telemetry layer (`BENCH_obs.json`). Both run on the
 //! [`harness`] (wall-clock median/p95 + throughput, no external crates).
+//! The paper's figures and claims are not benches: `hems paper` in the
+//! root package regenerates them without timing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod harness;
-
-/// Prints a titled data series as aligned columns.
-///
-/// `header` names the columns; each row must have the same arity.
-///
-/// # Panics
-///
-/// Panics if a row's arity differs from the header's.
-pub fn print_series(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
-    for row in rows {
-        assert_eq!(row.len(), header.len(), "row arity mismatch");
-    }
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (w, cell) in widths.iter_mut().zip(row.iter()) {
-            *w = (*w).max(cell.len());
-        }
-    }
-    let fmt_row = |cells: Vec<&str>| {
-        cells
-            .iter()
-            .zip(widths.iter())
-            .map(|(c, w)| format!("{c:>w$}"))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    println!("{}", fmt_row(header.to_vec()));
-    for row in rows {
-        println!("{}", fmt_row(row.iter().map(|s| s.as_str()).collect()));
-    }
-}
-
-/// Formats a float with 3 decimals.
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}
-
-/// Formats a float as a percentage with 1 decimal.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
-}
-
-/// Formats watts as milliwatts with 2 decimals.
-pub fn mw(w: hems_units::Watts) -> String {
-    format!("{:.2}", w.to_milli())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(f3(1.23456), "1.235");
-        assert_eq!(pct(0.314), "31.4%");
-        assert_eq!(mw(hems_units::Watts::from_milli(9.876)), "9.88");
-    }
-
-    #[test]
-    fn print_series_accepts_matching_rows() {
-        print_series(
-            "demo",
-            &["a", "b"],
-            &[vec!["1".into(), "2".into()], vec!["30".into(), "4".into()]],
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "arity")]
-    fn print_series_rejects_ragged_rows() {
-        print_series("demo", &["a", "b"], &[vec!["1".into()]]);
-    }
-}

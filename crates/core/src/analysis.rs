@@ -1,8 +1,8 @@
 //! Figure-level aggregation helpers.
 //!
 //! These functions assemble exactly the comparisons the paper's evaluation
-//! figures plot, so the bench harness (and EXPERIMENTS.md) can print them
-//! as rows without re-deriving the physics.
+//! figures plot, so the `hems paper` generator (and EXPERIMENTS.md) can
+//! print them as rows without re-deriving the physics.
 
 use crate::{
     bypass::PathComparison, mep, optimal_voltage, BypassPolicy, CoreError, MepComparison,
@@ -167,31 +167,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn headline_numbers_land_in_paper_bands() {
-        let cpu = Microprocessor::paper_65nm();
-        let h = headline_numbers(&cpu).unwrap();
-        assert!(
-            (0.15..0.45).contains(&h.sc_power_gain),
-            "power gain {}",
-            h.sc_power_gain
-        );
-        assert!(
-            (0.05..0.35).contains(&h.sc_speedup),
-            "speedup {}",
-            h.sc_speedup
-        );
-        assert!(
-            (0.15..0.40).contains(&h.mep_savings),
-            "savings {}",
-            h.mep_savings
-        );
-        assert!(
-            (0.03..0.12).contains(&h.mep_shift_volts),
-            "shift {}",
-            h.mep_shift_volts
-        );
     }
 }

@@ -20,11 +20,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use hems_bench::harness::{fmt_ns, peak_rss_bytes};
 use hems_fleet::{
     AnalyticPlans, Fleet, FleetConfig, FleetError, FleetReport, PlanSource, ServePlans,
 };
 use hems_obs::clock::monotonic_ns;
+use hems_obs::stats::{fmt_ns, peak_rss_bytes};
 use hems_serve::server::{serve, ServeConfig};
 use hems_serve::Value;
 use std::process::ExitCode;

@@ -25,8 +25,8 @@
 //! digests regardless of connection interleaving.
 
 use crate::workload::Arrival;
-use hems_bench::harness::percentile;
 use hems_obs::clock::monotonic_ns;
+use hems_obs::stats::percentile;
 use hems_serve::json::{self, Value};
 use hems_serve::wire::exchange;
 use std::io::{self, BufReader};

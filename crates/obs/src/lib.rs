@@ -40,6 +40,7 @@ pub mod metrics;
 pub mod registry;
 pub mod snapshot;
 pub mod span;
+pub mod stats;
 pub mod sync;
 
 pub use clock::{monotonic_ns, Clock, ManualClock, MonotonicClock};

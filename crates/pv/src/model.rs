@@ -228,8 +228,6 @@ impl SolarCellModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
 
     #[test]
     fn constructor_validates_parameters() {
@@ -386,26 +384,28 @@ mod tests {
         assert!(SolarCellModel::fit_knee(isc, voc, Volts::new(1.49)).is_err());
     }
 
-    // Gated: requires the `proptest` feature plus re-adding the
-    // proptest dev-dependency (removed for offline resolution).
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn current_scales_roughly_with_irradiance(g in 0.05f64..1.0) {
-            let m = SolarCellModel::kxob22();
-            let g = Irradiance::new(g).unwrap();
+    #[test]
+    fn current_scales_roughly_with_irradiance() {
+        let m = SolarCellModel::kxob22();
+        for i in 0..=2000 {
+            let g = Irradiance::new(0.05 + 0.95 * i as f64 / 2000.0).unwrap();
             let isc = m.current(Volts::ZERO, g);
-            prop_assert!((isc.amps() - m.photocurrent(g).amps()).abs() < 1e-9);
+            assert!((isc.amps() - m.photocurrent(g).amps()).abs() < 1e-9, "{g}");
         }
+    }
 
-        #[test]
-        fn power_is_nonnegative_and_bounded(v in 0.0f64..2.0, g in 0.0f64..1.0) {
-            let m = SolarCellModel::kxob22();
-            let g = Irradiance::new(g).unwrap();
-            let p = m.power(Volts::new(v), g);
-            prop_assert!(p.watts() >= 0.0);
-            // Power can never exceed Voc * Isc.
-            prop_assert!(p.watts() <= 1.5 * 0.015 + 1e-9);
+    #[test]
+    fn power_is_nonnegative_and_bounded() {
+        let m = SolarCellModel::kxob22();
+        for i in 0..=200 {
+            let g = Irradiance::new(i as f64 / 200.0).unwrap();
+            for j in 0..=200 {
+                let v = Volts::new(2.0 * j as f64 / 200.0);
+                let p = m.power(v, g);
+                assert!(p.watts() >= 0.0, "{v} {g}");
+                // Power can never exceed Voc * Isc.
+                assert!(p.watts() <= 1.5 * 0.015 + 1e-9, "{v} {g}");
+            }
         }
     }
 }

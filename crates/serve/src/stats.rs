@@ -124,7 +124,7 @@ impl Default for ServeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hems_bench::harness::percentile;
+    use hems_obs::stats::percentile;
 
     #[test]
     fn percentiles_track_recorded_latencies() {
@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn histogram_percentiles_match_the_sorted_reference() {
         // Parity with the pre-histogram implementation: the old path
-        // sorted the samples and called `hems_bench::harness::percentile`.
+        // sorted the samples and called `hems_obs::stats::percentile`.
         // The histogram answers from log-spaced buckets (ratio 2^(1/4)),
         // so it must agree within one bucket's relative width (~19 %).
         let stats = ServeStats::new();

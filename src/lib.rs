@@ -17,3 +17,5 @@ pub use hems_regulator as regulator;
 pub use hems_sim as sim;
 pub use hems_storage as storage;
 pub use hems_units as units;
+
+pub mod paper;
