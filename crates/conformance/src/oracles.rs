@@ -17,19 +17,22 @@
 //! | `json_frames`   | codec on torn frames       | itself (round-trip)            | no panic; render idempotent |
 //! | `fleet_runtime` | `NodeState` replay         | `IntermittentRuntime::run_observed` | same commit stream |
 //! | `physics`       | transient simulator        | conservation laws              | invariants hold; runs reproduce |
+//! | `controller_crossover` | closed-loop `HolisticController` | `BypassPolicy::for_topology` | same path outside the guard band; cycles rise with light |
 //!
-//! A hidden eighth oracle, `planted`, fails whenever a spec sits in the
+//! A hidden tenth oracle, `planted`, fails whenever a spec sits in the
 //! dark band — the known divergence the shrinker self-test minimizes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hems_core::cachekey::KeyHasher;
 use hems_core::{frontier, mep, operating_point, optimal_voltage};
+use hems_core::{BypassPolicy, HolisticController, Mode};
 use hems_core::{CpuEvalBatch, PvSource as _, PvSourceBatch, SprintPlan};
 use hems_cpu::{CpuLut, Microprocessor};
 use hems_fleet::{NodeState, Schedule};
 use hems_intermittent::{CheckpointPolicy, CommitEvent, IntermittentRuntime, NvmModel, TaskChain};
 use hems_pv::{Irradiance, PvLut, SolarCell};
+use hems_regulator::Regulator as _;
 use hems_router::RouterHandle;
 use hems_serve::planner::{self, PlanJob};
 use hems_serve::server::{serve, ServeConfig, ServerHandle};
@@ -76,15 +79,17 @@ pub enum OracleKind {
     FleetRuntime,
     /// Conservation laws and reproducibility of the transient simulator.
     Physics,
+    /// The closed-loop controller's power path against the §IV-B policy.
+    ControllerCrossover,
     /// Self-test scaffolding: "fails" on any dark-band spec, so the
     /// shrinker has a known divergence to minimize.
     Planted,
 }
 
 impl OracleKind {
-    /// The eight real oracles, in fuzzing order. `Planted` is excluded:
+    /// The nine real oracles, in fuzzing order. `Planted` is excluded:
     /// it exists only for the shrinker self-test.
-    pub fn all() -> [OracleKind; 8] {
+    pub fn all() -> [OracleKind; 9] {
         [
             OracleKind::SolverLut,
             OracleKind::BatchKernels,
@@ -94,6 +99,7 @@ impl OracleKind {
             OracleKind::JsonFrames,
             OracleKind::FleetRuntime,
             OracleKind::Physics,
+            OracleKind::ControllerCrossover,
         ]
     }
 
@@ -108,6 +114,7 @@ impl OracleKind {
             OracleKind::JsonFrames => "json_frames",
             OracleKind::FleetRuntime => "fleet_runtime",
             OracleKind::Physics => "physics",
+            OracleKind::ControllerCrossover => "controller_crossover",
             OracleKind::Planted => "planted",
         }
     }
@@ -124,6 +131,7 @@ impl OracleKind {
             "json_frames" => OracleKind::JsonFrames,
             "fleet_runtime" => OracleKind::FleetRuntime,
             "physics" => OracleKind::Physics,
+            "controller_crossover" => OracleKind::ControllerCrossover,
             "planted" => OracleKind::Planted,
             _ => return None,
         })
@@ -312,6 +320,7 @@ pub fn run(
         OracleKind::JsonFrames => Ok(json_frames(input)),
         OracleKind::FleetRuntime => Ok(fleet_runtime(input)),
         OracleKind::Physics => Ok(physics(input)),
+        OracleKind::ControllerCrossover => Ok(controller_crossover(input)),
         OracleKind::Planted => Ok(planted(input)),
     }
 }
@@ -1305,6 +1314,79 @@ fn physics(input: &CaseInput) -> Option<Divergence> {
         return diverged(
             kind,
             "identical runs produced different summaries".to_string(),
+        );
+    }
+    None
+}
+
+// ---------------------------------------------------------------------
+// Oracle 8: the closed-loop controller against the §IV-B crossover
+// ---------------------------------------------------------------------
+
+/// Half-width, in sun, of the band around the crossover where the
+/// controller's steady-state path is not checked (DESIGN §16). Its entry
+/// test reads the tracker's harvest estimate at the node's operating
+/// voltage, not the MPP power, so the switch lands up to ~0.035 sun either
+/// side of the crossover depending on the starting charge.
+const CROSSOVER_GUARD: f64 = 0.05;
+/// Simulated length of each run: bypass engages within ~2 ms.
+const CROSSOVER_RUN_MS: f64 = 20.0;
+/// Slack on "cycles do not fall as light rises" (DESIGN §7).
+const MONOTONE_SLACK: f64 = 0.02;
+
+/// Two seeded constant lights in [0.2, 0.5] sun on one seeded topology,
+/// from one seeded starting charge. Outside the guard band the controller
+/// must end each run on the path `should_bypass` names, and when both
+/// lights share that path the brighter one must run at least as many
+/// cycles, within the slack. Pairs that straddle the crossover are not
+/// compared: the regulated loop takes longer than a case to converge.
+fn controller_crossover(input: &CaseInput) -> Option<Divergence> {
+    let kind = OracleKind::ControllerCrossover;
+    let mut rng = XorShiftRng::seed_from_u64(input.light_seed);
+    let config = match rng.below_u32(3) {
+        0 => SystemConfig::paper_sc_system(),
+        1 => SystemConfig::paper_buck_system(),
+        _ => SystemConfig::paper_ldo_system(),
+    }
+    .ok()?;
+    let name = config.regulator.kind();
+    let policy = match BypassPolicy::for_topology(name) {
+        Ok(policy) => *policy,
+        Err(e) => return diverged(kind, format!("{name}: no bypass policy: {e}")),
+    };
+    let (a, b) = (rng.range_f64(0.2, 0.5), rng.range_f64(0.2, 0.5));
+    let v0 = Volts::new(rng.range_f64(0.9, 1.3));
+    let mut runs = Vec::with_capacity(2);
+    for g in [a.min(b), a.max(b)] {
+        let g = Irradiance::new(g).ok()?;
+        let mut config = config.clone();
+        config.cell.set_irradiance(g);
+        let mut sim = Simulation::new(config, LightProfile::constant(g), v0).ok()?;
+        let mut ctl = HolisticController::paper_default(Mode::MaxPerformance);
+        let summary = sim.run(&mut ctl, Seconds::from_milli(CROSSOVER_RUN_MS));
+        let guarded = policy
+            .crossover()
+            .is_some_and(|c| (g.fraction() - c.fraction()).abs() < CROSSOVER_GUARD);
+        let expected = (!guarded).then(|| policy.should_bypass(g));
+        if expected.is_some_and(|bypass| bypass != ctl.is_bypassed()) {
+            return diverged(
+                kind,
+                format!(
+                    "{name} at {g} from {v0}: controller bypassed={}, policy should_bypass={}",
+                    ctl.is_bypassed(),
+                    policy.should_bypass(g)
+                ),
+            );
+        }
+        runs.push((g, expected, summary.total_cycles.count()));
+    }
+    let [(g_dim, path_dim, dim), (g_bright, path_bright, bright)] = runs[..] else {
+        return None;
+    };
+    if path_dim.is_some() && path_dim == path_bright && bright < dim * (1.0 - MONOTONE_SLACK) {
+        return diverged(
+            kind,
+            format!("{name} from {v0}: {bright:.0} cycles at {g_bright} < {dim:.0} at {g_dim}"),
         );
     }
     None

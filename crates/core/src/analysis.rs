@@ -4,12 +4,9 @@
 //! figures plot, so the `hems paper` generator (and EXPERIMENTS.md) can
 //! print them as rows without re-deriving the physics.
 
-use crate::{
-    bypass::PathComparison, mep, optimal_voltage, BypassPolicy, CoreError, MepComparison,
-    RegulatedPlan, UnregulatedPoint,
-};
+use crate::{mep, optimal_voltage, CoreError, MepComparison, RegulatedPlan, UnregulatedPoint};
 use hems_cpu::Microprocessor;
-use hems_pv::{Irradiance, SolarCell, SolarCellModel};
+use hems_pv::{Irradiance, SolarCell};
 use hems_regulator::{AnyRegulator, Regulator, RegulatorKind};
 
 /// Fig. 6: the unregulated point vs each regulator's optimal plan.
@@ -52,19 +49,6 @@ pub fn fig6(cell: &SolarCell, cpu: &Microprocessor) -> Result<Fig6Analysis, Core
         unregulated,
         plans,
     })
-}
-
-/// Fig. 7a: regulated-vs-bypass deliverable power across light levels.
-pub fn fig7a(
-    model: &SolarCellModel,
-    regulator: &dyn Regulator,
-    cpu: &Microprocessor,
-    lights: &[Irradiance],
-) -> Vec<PathComparison> {
-    lights
-        .iter()
-        .map(|g| BypassPolicy::compare_at(model, regulator, cpu, *g))
-        .collect()
 }
 
 /// Fig. 7b / Fig. 11a: conventional-vs-holistic MEP for each regulator.
@@ -131,26 +115,6 @@ mod tests {
         assert!(analysis.plan(RegulatorKind::Buck).is_some());
         assert!(analysis.plan(RegulatorKind::Ldo).is_some());
         assert!(analysis.plan(RegulatorKind::Bypass).is_none());
-    }
-
-    #[test]
-    fn fig7a_rows_cover_requested_lights() {
-        let model = SolarCellModel::kxob22();
-        let cpu = Microprocessor::paper_65nm();
-        let sc = hems_regulator::ScRegulator::paper_65nm();
-        let rows = fig7a(
-            &model,
-            &sc,
-            &cpu,
-            &[
-                Irradiance::FULL_SUN,
-                Irradiance::HALF_SUN,
-                Irradiance::QUARTER_SUN,
-            ],
-        );
-        assert_eq!(rows.len(), 3);
-        assert!(!rows[0].bypass_wins());
-        assert!(rows[2].bypass_wins());
     }
 
     #[test]

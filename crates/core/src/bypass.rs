@@ -9,9 +9,13 @@
 //! crossover light level.
 
 use crate::{operating_point, optimal_voltage, CoreError, CpuEval};
+use hems_cpu::Microprocessor;
 use hems_pv::{Irradiance, SolarCell, SolarCellModel};
-use hems_regulator::Regulator;
-use hems_units::Watts;
+use hems_regulator::{
+    BuckRegulator, Bypass, HybridRegulator, Ldo, Regulator, RegulatorKind, ScRegulator,
+};
+use hems_units::{Volts, Watts};
+use std::sync::OnceLock;
 
 /// Deliverable processor power under each path at one light level.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,12 +37,34 @@ impl PathComparison {
     }
 }
 
-/// The crossover-finding policy.
-#[derive(Debug, Clone)]
-pub struct BypassPolicy {
-    model: SolarCellModel,
-    crossover: Irradiance,
+/// Where bypassing wins for one regulator topology, over the light range
+/// it was calibrated on.
+///
+/// The whole low-light rule lives here: [`for_topology`](Self::for_topology)
+/// holds one calibration per topology for the process, and the planner,
+/// the paper generator and the closed-loop controller all read it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BypassPolicy {
+    /// Bypass still wins at the top of the range (behind an LDO), so it
+    /// wins wherever regulation could: always bypass.
+    Always,
+    /// Bypass wins below `crossover` and loses above it.
+    Below {
+        /// The light level below which bypass wins.
+        crossover: Irradiance,
+        /// The cell's MPP power at the crossover light. A tracker estimate
+        /// below it means the light is under the crossover.
+        entry_power: Watts,
+        /// The cell's open-circuit voltage at the crossover light. A
+        /// floating node above it means the light is over the crossover.
+        exit_voltage: Volts,
+    },
+    /// Bypass wins nowhere on the range: never bypass.
+    Never,
 }
+
+/// The light range every per-topology policy is calibrated over.
+const DAWN: f64 = 0.02;
 
 impl BypassPolicy {
     /// Compares the two paths at one light level.
@@ -69,25 +95,60 @@ impl BypassPolicy {
         }
     }
 
-    /// Builds a policy by locating the crossover light level below which
-    /// bypass wins.
+    /// The policy of one regulator topology on the paper models: the KXOB22
+    /// cell, the 65 nm processor and that topology's 65 nm regulator,
+    /// calibrated over [2 %, 100 %] sun.
     ///
-    /// Scans a 128-point grid over `[g_lo, g_hi]` (in very dim light *both*
+    /// The first call per topology calibrates (about 130 exact
+    /// [`compare_at`](Self::compare_at) solves, ~15 ms); every later call
+    /// is one `OnceLock` read. [`RegulatorKind::Bypass`] (the ideal
+    /// direct connection) calibrates to [`BypassPolicy::Always`]: riding
+    /// the cell is what that topology does.
+    ///
+    /// # Errors
+    ///
+    /// Returns the calibration's error, held for the life of the process.
+    pub fn for_topology(kind: RegulatorKind) -> &'static Result<BypassPolicy, CoreError> {
+        type Slot = OnceLock<Result<BypassPolicy, CoreError>>;
+        static LDO: Slot = OnceLock::new();
+        static SC: Slot = OnceLock::new();
+        static BUCK: Slot = OnceLock::new();
+        static BYPASS: Slot = OnceLock::new();
+        static HYBRID: Slot = OnceLock::new();
+        let (slot, regulator): (&Slot, fn() -> Box<dyn Regulator>) = match kind {
+            RegulatorKind::Ldo => (&LDO, || Box::new(Ldo::paper_65nm())),
+            RegulatorKind::SwitchedCapacitor => (&SC, || Box::new(ScRegulator::paper_65nm())),
+            RegulatorKind::Buck => (&BUCK, || Box::new(BuckRegulator::paper_65nm())),
+            RegulatorKind::Bypass => (&BYPASS, || Box::new(Bypass::ideal())),
+            RegulatorKind::Hybrid => (&HYBRID, || Box::new(HybridRegulator::paper_65nm())),
+        };
+        slot.get_or_init(|| {
+            BypassPolicy::calibrate(
+                &SolarCellModel::kxob22(),
+                regulator().as_ref(),
+                &Microprocessor::paper_65nm(),
+                Irradiance::new(DAWN).map_err(|e| CoreError::component("pv", e))?,
+                Irradiance::FULL_SUN,
+            )
+        })
+    }
+
+    /// Locates the light level below which bypass wins on `[g_lo, g_hi]`.
+    ///
+    /// Scans a 128-point grid over the range (in very dim light *both*
     /// paths deliver zero, so a simple bisection on "bypass wins" has no
     /// bracketing sign change), finds the brightest grid cell where bypass
     /// still wins, then refines the boundary inside that cell.
     ///
     /// Cost: about 130 exact [`compare_at`](Self::compare_at) solves (the
     /// 128-point grid, then bisection to 1e-3). The result depends only on
-    /// `(model, regulator, cpu)` and the range, not on today's light, so a
-    /// request-path caller must calibrate once and hold the policy rather
-    /// than calibrate per decision.
+    /// `(model, regulator, cpu)` and the range, not on today's light, so
+    /// callers read [`for_topology`](Self::for_topology) instead.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Infeasible`] when bypass never wins (or always
-    /// wins) on the range — no crossover to calibrate.
-    pub fn calibrate(
+    /// Returns an error when the cell has no MPP at the crossover light.
+    fn calibrate(
         model: &SolarCellModel,
         regulator: &dyn Regulator,
         cpu: &impl CpuEval,
@@ -108,16 +169,10 @@ impl BypassPolicy {
         let at = |i: usize| g_lo.fraction() + span * i as f64 / (GRID - 1) as f64;
         let last_win = (0..GRID).rev().find(|&i| wins_at(at(i)));
         let Some(last_win) = last_win else {
-            return Err(CoreError::infeasible(
-                "bypass crossover",
-                format!("bypass never wins on [{g_lo}, {g_hi}]"),
-            ));
+            return Ok(BypassPolicy::Never);
         };
         if last_win == GRID - 1 {
-            return Err(CoreError::infeasible(
-                "bypass crossover",
-                format!("bypass wins across all of [{g_lo}, {g_hi}]"),
-            ));
+            return Ok(BypassPolicy::Always);
         }
         let (mut lo, mut hi) = (at(last_win), at(last_win + 1));
         while hi - lo > 1e-3 {
@@ -129,34 +184,38 @@ impl BypassPolicy {
             }
         }
         let crossover = Irradiance::new((0.5 * (lo + hi)).clamp(0.0, 2.0))
-            .map_err(|e| CoreError::infeasible("bypass crossover", e.to_string()))?;
-        Ok(BypassPolicy {
-            model: model.clone(),
+            .map_err(|e| CoreError::component("pv", e))?;
+        let cell = SolarCell::new(model.clone(), crossover);
+        let mpp = cell.mpp().map_err(|e| CoreError::component("pv", e))?;
+        Ok(BypassPolicy::Below {
             crossover,
+            entry_power: mpp.power,
+            exit_voltage: cell.open_circuit_voltage(),
         })
     }
 
-    /// The light level below which bypass wins.
-    pub fn crossover(&self) -> Irradiance {
-        self.crossover
+    /// The light level below which bypass wins, when bypass wins on part
+    /// of the range only.
+    pub fn crossover(&self) -> Option<Irradiance> {
+        match self {
+            BypassPolicy::Below { crossover, .. } => Some(*crossover),
+            BypassPolicy::Always | BypassPolicy::Never => None,
+        }
     }
 
     /// `true` when the policy recommends bypassing at light level `g`.
     pub fn should_bypass(&self, g: Irradiance) -> bool {
-        g < self.crossover
-    }
-
-    /// The calibrated cell model.
-    pub fn model(&self) -> &SolarCellModel {
-        &self.model
+        match self {
+            BypassPolicy::Always => true,
+            BypassPolicy::Below { crossover, .. } => g < *crossover,
+            BypassPolicy::Never => false,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hems_cpu::Microprocessor;
-    use hems_regulator::ScRegulator;
 
     fn fixtures() -> (SolarCellModel, ScRegulator, Microprocessor) {
         (
@@ -210,7 +269,7 @@ mod tests {
             Irradiance::FULL_SUN,
         )
         .unwrap();
-        let g = policy.crossover();
+        let g = policy.crossover().expect("SC has a crossover");
         assert!(
             g > Irradiance::QUARTER_SUN && g < Irradiance::new(0.6).unwrap(),
             "crossover at {g}"
@@ -223,14 +282,90 @@ mod tests {
     fn degenerate_range_has_no_crossover() {
         let (model, sc, cpu) = fixtures();
         // Entirely in the bright regime: regulation wins everywhere.
-        assert!(BypassPolicy::calibrate(
+        let policy = BypassPolicy::calibrate(
             &model,
             &sc,
             &cpu,
             Irradiance::new(0.8).unwrap(),
             Irradiance::FULL_SUN,
         )
-        .is_err());
+        .unwrap();
+        assert_eq!(policy, BypassPolicy::Never);
+        assert_eq!(policy.crossover(), None);
+        assert!(!policy.should_bypass(Irradiance::DARK));
+    }
+
+    const TOPOLOGIES: [RegulatorKind; 3] = [
+        RegulatorKind::SwitchedCapacitor,
+        RegulatorKind::Ldo,
+        RegulatorKind::Buck,
+    ];
+
+    #[test]
+    fn memoized_crossover_matches_a_fresh_calibration() {
+        let regulators: [&dyn Regulator; 3] = [
+            &ScRegulator::paper_65nm(),
+            &Ldo::paper_65nm(),
+            &BuckRegulator::paper_65nm(),
+        ];
+        for (kind, regulator) in TOPOLOGIES.into_iter().zip(regulators) {
+            let fresh = BypassPolicy::calibrate(
+                &SolarCellModel::kxob22(),
+                regulator,
+                &Microprocessor::paper_65nm(),
+                Irradiance::new(DAWN).unwrap(),
+                Irradiance::FULL_SUN,
+            );
+            assert_eq!(BypassPolicy::for_topology(kind), &fresh, "{kind}");
+        }
+    }
+
+    #[test]
+    fn crossover_is_calibrated_once_per_topology() {
+        for kind in TOPOLOGIES {
+            let first = BypassPolicy::for_topology(kind);
+            let again = BypassPolicy::for_topology(kind);
+            assert!(std::ptr::eq(first, again), "{kind}");
+        }
+        let sc = BypassPolicy::for_topology(RegulatorKind::SwitchedCapacitor);
+        let buck = BypassPolicy::for_topology(RegulatorKind::Buck);
+        assert!(!std::ptr::eq(sc, buck));
+        assert_ne!(sc, buck);
+    }
+
+    #[test]
+    fn bypass_always_wins_behind_an_ldo() {
+        // The LDO's linear efficiency loses to the raw cell at every light,
+        // so there is no crossover: the policy bypasses everywhere.
+        let ldo = BypassPolicy::for_topology(RegulatorKind::Ldo)
+            .as_ref()
+            .unwrap();
+        assert_eq!(*ldo, BypassPolicy::Always);
+        assert_eq!(ldo.crossover(), None);
+        assert!(ldo.should_bypass(Irradiance::FULL_SUN));
+    }
+
+    #[test]
+    fn thresholds_are_the_cell_at_the_crossover_light() {
+        for kind in [RegulatorKind::SwitchedCapacitor, RegulatorKind::Buck] {
+            let Ok(BypassPolicy::Below {
+                crossover,
+                entry_power,
+                exit_voltage,
+            }) = BypassPolicy::for_topology(kind)
+            else {
+                panic!("{kind} should have a crossover");
+            };
+            let cell = SolarCell::kxob22(*crossover);
+            assert_eq!(*entry_power, cell.mpp().unwrap().power, "{kind}");
+            assert_eq!(*exit_voltage, cell.open_circuit_voltage(), "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_direct_connection_always_rides_the_cell() {
+        let policy = BypassPolicy::for_topology(RegulatorKind::Bypass);
+        assert_eq!(policy, &Ok(BypassPolicy::Always));
     }
 
     #[test]

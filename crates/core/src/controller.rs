@@ -7,8 +7,9 @@
 //!   Section VI-A keeps the solar node at the lookup-table MPP voltage by
 //!   modulating DVFS;
 //! * **low-light bypass** — when the estimated input power falls below the
-//!   crossover of Section IV-B, the regulator is shorted out; periodic
-//!   open-node probes detect when the light returns;
+//!   cell's MPP power at the Section IV-B crossover of the configured
+//!   regulator ([`BypassPolicy::for_topology`]), the regulator is shorted
+//!   out; periodic open-node probes detect when the light returns;
 //! * **holistic-MEP operation** — [`Mode::MinEnergy`] runs at the system
 //!   MEP of eq. 5 (computed lazily from the system models on first use),
 //!   duty-cycling through bypass and sleep as the node discharges;
@@ -16,12 +17,12 @@
 //!   (eqs. 12–13) and bypasses the regulator at the end of the discharge,
 //!   reproducing the measured waveform of Fig. 11b.
 
-use crate::mep;
+use crate::{mep, BypassPolicy};
 use hems_cpu::DvfsLadder;
 use hems_mppt::{MppTracker, Observation, TimeBasedTracker};
 use hems_regulator::Regulator;
 use hems_sim::{ControlDecision, Controller, SystemView};
-use hems_units::{Seconds, Volts, Watts};
+use hems_units::{Seconds, Volts};
 
 /// Operating objective.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,15 +49,10 @@ pub struct HolisticConfig {
     pub ladder: DvfsLadder,
     /// How often the MPPT feedback replans.
     pub control_period: Seconds,
-    /// Estimated input power below which bypass engages (low-light rule).
-    pub bypass_entry_power: Watts,
     /// While bypassed, how often to float the node and probe the light.
     pub probe_period: Seconds,
     /// How long each probe floats the node.
     pub probe_duration: Seconds,
-    /// Probe voltage above which the light is deemed restored (the node
-    /// floats toward `Voc`, which measures irradiance directly).
-    pub bypass_exit_voltage: Volts,
     /// Node voltage to recharge to before waking from a sleep episode.
     pub wake_voltage: Volts,
     /// How often [`Mode::MaxPerformance`] forces a fresh eq. 7 measurement
@@ -72,9 +68,12 @@ pub struct HolisticConfig {
 
 impl HolisticConfig {
     /// Paper-calibrated defaults for a given mode: 25 mV ladder, 0.5 ms
-    /// control period, bypass below ≈ 3 mW estimated input (the quarter-sun
-    /// crossover of Fig. 7a), 20 ms probes every 500 ms, exit at 1.25 V
-    /// float (≈ 30 % sun), wake at 1.0 V.
+    /// control period, 20 ms light probes every 500 ms while bypassed, wake
+    /// at 1.0 V, an MPP re-measurement every second and no performance
+    /// floor.
+    ///
+    /// The bypass thresholds are not tunables: the controller reads them
+    /// from its regulator's [`BypassPolicy::for_topology`] (DESIGN §7).
     pub fn paper_default(mode: Mode) -> HolisticConfig {
         HolisticConfig {
             mode,
@@ -85,10 +84,8 @@ impl HolisticConfig {
                 // hems-lint: allow(panic, reason = "fixed paper constants, validated by unit tests")
                 .expect("reference ladder is valid"),
             control_period: Seconds::from_micro(500.0),
-            bypass_entry_power: Watts::from_milli(3.0),
             probe_period: Seconds::from_milli(500.0),
             probe_duration: Seconds::from_milli(20.0),
-            bypass_exit_voltage: Volts::new(1.25),
             wake_voltage: Volts::new(1.0),
             recalibration_period: Seconds::from_milli(1000.0),
             performance_floor: None,
@@ -107,6 +104,8 @@ impl HolisticConfig {
 pub struct HolisticController {
     config: HolisticConfig,
     tracker: TimeBasedTracker,
+    /// The regulator's low-light rule, read on the first decision.
+    bypass_policy: Option<BypassPolicy>,
     next_control: Seconds,
     bypassed: bool,
     probe_until: Option<Seconds>,
@@ -140,6 +139,7 @@ impl HolisticController {
         HolisticController {
             config,
             tracker: TimeBasedTracker::paper_default(),
+            bypass_policy: None,
             next_control: Seconds::ZERO,
             bypassed: false,
             probe_until: None,
@@ -160,12 +160,6 @@ impl HolisticController {
     /// Paper defaults for a mode.
     pub fn paper_default(mode: Mode) -> HolisticController {
         HolisticController::new(HolisticConfig::paper_default(mode))
-    }
-
-    /// Replaces the MPP tracker (e.g. with different comparator thresholds).
-    pub fn with_tracker(mut self, tracker: TimeBasedTracker) -> Self {
-        self.tracker = tracker;
-        self
     }
 
     /// `true` while the regulator is bypassed.
@@ -259,13 +253,34 @@ impl HolisticController {
         obs.crossings = view.crossings.to_vec();
         self.tracker.update(&obs);
 
+        // Entry at the cell's MPP power at the crossover light, exit once a
+        // probe reads the node at or above the cell's Voc there. A failed
+        // calibration leaves the node regulated.
+        let policy = *self.bypass_policy.get_or_insert_with(|| {
+            BypassPolicy::for_topology(view.regulator.kind())
+                .clone()
+                .unwrap_or(BypassPolicy::Never)
+        });
+        let (entry_power, exit_voltage) = match policy {
+            BypassPolicy::Always => {
+                self.bypassed = true;
+                return Some(ControlDecision::bypass());
+            }
+            BypassPolicy::Never => return None,
+            BypassPolicy::Below {
+                entry_power,
+                exit_voltage,
+                ..
+            } => (entry_power, exit_voltage),
+        };
+
         if self.bypassed {
             // Probe windows: float the node, read the light off its Voc.
             if let Some(until) = self.probe_until {
                 if view.now >= until {
                     self.probe_until = None;
                     self.next_probe = view.now + self.config.probe_period;
-                    if view.v_solar >= self.config.bypass_exit_voltage {
+                    if view.v_solar >= exit_voltage {
                         self.bypassed = false;
                         self.tracker.reset();
                         return None; // fall through to mode logic, regulated again
@@ -282,7 +297,7 @@ impl HolisticController {
 
         // Entry rule: a fresh low input-power estimate engages bypass.
         if let Some(est) = self.tracker.last_estimate() {
-            if est < self.config.bypass_entry_power {
+            if est < entry_power {
                 self.bypassed = true;
                 self.tracker.reset();
                 self.next_probe = view.now + self.config.probe_period;
@@ -561,8 +576,8 @@ mod tests {
 
     #[test]
     fn low_light_engages_bypass() {
-        // Start bright, dim hard: the estimate falls below the 3 mW
-        // threshold and the controller bypasses (Fig. 7a policy). (At
+        // Start bright, dim hard: the estimate falls below the MPP power at
+        // the SC crossover and the controller bypasses (Fig. 7a policy). (At
         // milder dimming levels the damped DVFS loop can legitimately shed
         // load fast enough to keep regulating — bypass is for light the
         // regulator's fixed losses cannot justify.)

@@ -34,12 +34,13 @@ impl HybridRegulator {
 
     /// The paper's on-chip lineup (LDO + SC + buck) as one muxed bank.
     pub fn paper_65nm() -> HybridRegulator {
-        HybridRegulator::new(vec![
-            AnyRegulator::from(crate::Ldo::paper_65nm()),
-            AnyRegulator::from(crate::ScRegulator::paper_65nm()),
-            AnyRegulator::from(crate::BuckRegulator::paper_65nm()),
-        ])
-        .expect("non-empty lineup")
+        HybridRegulator {
+            candidates: vec![
+                AnyRegulator::from(crate::Ldo::paper_65nm()),
+                AnyRegulator::from(crate::ScRegulator::paper_65nm()),
+                AnyRegulator::from(crate::BuckRegulator::paper_65nm()),
+            ],
+        }
     }
 
     /// The candidate regulators.

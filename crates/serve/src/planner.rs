@@ -20,7 +20,7 @@
 //! budget is the plan cache, not the LUT fast path, so misses pay the
 //! reference-quality solve and hits are free. The one thing a miss does
 //! not solve is the bypass crossover: it is a constant of the regulator
-//! topology, calibrated once per process on first use. Sweep jobs
+//! topology, read from [`BypassPolicy::for_topology`]. Sweep jobs
 //! additionally expose their scenario through [`scenario_for`] and render
 //! an engine outcome with [`sweep_answer`], so a caller holding many of
 //! them (the conformance oracles, the repository benchmark) can run the
@@ -29,13 +29,13 @@
 //! byte-identical answers to the [`answer`] a miss runs.
 
 use crate::json::Value;
-use crate::proto::{effective_duration, QueryKind, RegulatorChoice, ScenarioSpec};
+use crate::proto::{effective_duration, QueryKind, ScenarioSpec};
+use hems_core::PvSource;
 use hems_core::{bypass::BypassPolicy, mep, operating_point, optimal_voltage, sprint::SprintPlan};
-use hems_core::{Canonical, KeyHasher, PvSource};
+use hems_regulator::Regulator;
 use hems_sim::sweep::{run_scenario, Scenario, SweepPolicy};
 use hems_sim::SystemConfig;
 use hems_units::Volts;
-use std::sync::OnceLock;
 
 /// One cache miss, ready to execute on a worker.
 #[derive(Debug, Clone)]
@@ -143,56 +143,27 @@ fn bypass_decision(job: &PlanJob) -> Result<Value, String> {
         &job.config.cpu,
         g,
     );
-    // The crossover is a constant of the topology, calibrated once per
-    // process; it can legitimately fail (bypass never wins for an
-    // efficient-everywhere regulator). The per-level comparison is still
-    // the answer, with the crossover attached when it exists.
+    // The crossover is a constant of the topology, read from hems-core's
+    // per-topology table. A topology without one (bypass always wins
+    // behind the LDO) still answers with the per-level comparison, so
+    // darkness, where both paths deliver zero, reads "do not bypass".
     let mut fields = vec![
         ("irradiance", Value::Num(g.fraction())),
         ("regulated_w", Value::Num(comparison.regulated.watts())),
         ("bypassed_w", Value::Num(comparison.bypassed.watts())),
         ("bypass_wins", Value::Bool(comparison.bypass_wins())),
     ];
-    match crossover(job) {
-        Ok(policy) => {
-            fields.push(("crossover", Value::Num(policy.crossover().fraction())));
+    match BypassPolicy::for_topology(job.config.regulator.kind()) {
+        Ok(policy @ BypassPolicy::Below { crossover, .. }) => {
+            fields.push(("crossover", Value::Num(crossover.fraction())));
             fields.push(("should_bypass", Value::Bool(policy.should_bypass(g))));
         }
-        Err(_) => {
+        _ => {
             fields.push(("crossover", Value::Null));
             fields.push(("should_bypass", Value::Bool(comparison.bypass_wins())));
         }
     }
     Ok(Value::obj(fields))
-}
-
-/// The bypass crossover of `job`'s regulator topology over [dawn, full
-/// sun], calibrated by the first query that needs it and held for the
-/// life of the process, failures included.
-///
-/// `spec.regulator` is a complete key: calibration reads the cell model,
-/// the regulator and the CPU, and [`ScenarioSpec::build`] varies only the
-/// regulator among them (light lives outside the cell model).
-fn crossover(job: &PlanJob) -> &'static Result<BypassPolicy, String> {
-    static SC: OnceLock<Result<BypassPolicy, String>> = OnceLock::new();
-    static LDO: OnceLock<Result<BypassPolicy, String>> = OnceLock::new();
-    static BUCK: OnceLock<Result<BypassPolicy, String>> = OnceLock::new();
-    let slot = match job.spec.regulator {
-        RegulatorChoice::Sc => &SC,
-        RegulatorChoice::Ldo => &LDO,
-        RegulatorChoice::Buck => &BUCK,
-    };
-    slot.get_or_init(|| {
-        let dawn = hems_pv::Irradiance::new(0.02).map_err(|e| e.to_string())?;
-        BypassPolicy::calibrate(
-            job.config.cell.model(),
-            &job.config.regulator,
-            &job.config.cpu,
-            dawn,
-            hems_pv::Irradiance::FULL_SUN,
-        )
-        .map_err(|e| e.to_string())
-    })
 }
 
 fn sprint_plan(job: &PlanJob) -> Result<Value, String> {
@@ -284,7 +255,6 @@ pub fn sweep_answer(result: hems_sim::sweep::ScenarioResult) -> Result<Value, St
 }
 
 fn scenario_label(job: &PlanJob) -> String {
-    use hems_regulator::Regulator;
     format!(
         "g={} C={} reg={} {}",
         job.config.cell.irradiance(),
@@ -294,21 +264,11 @@ fn scenario_label(job: &PlanJob) -> String {
     )
 }
 
-/// A self-check that the planner and the cache key agree on identity: two
-/// jobs with the same key must produce byte-identical answers. Exercised
-/// by tests; exported so the bench can spot-check too.
-pub fn keys_agree(a: &PlanJob, b: &PlanJob) -> bool {
-    let mut ha = KeyHasher::new();
-    let mut hb = KeyHasher::new();
-    a.config.canonicalize(&mut ha);
-    b.config.canonicalize(&mut hb);
-    (a.key == b.key) == (ha.finish() == hb.finish() && a.kind == b.kind && a.spec == b.spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::PolicySpec;
+    use crate::proto::{PolicySpec, RegulatorChoice};
+    use hems_regulator::{AnyRegulator, BuckRegulator, Ldo, ScRegulator};
 
     fn job(kind: QueryKind, g: f64) -> PlanJob {
         PlanJob::build(kind, ScenarioSpec::baseline(g)).unwrap()
@@ -362,12 +322,6 @@ mod tests {
         );
     }
 
-    fn regulator_job(regulator: RegulatorChoice) -> PlanJob {
-        let mut spec = ScenarioSpec::baseline(0.5);
-        spec.regulator = regulator;
-        PlanJob::build(QueryKind::Bypass, spec).unwrap()
-    }
-
     const TOPOLOGIES: [RegulatorChoice; 3] = [
         RegulatorChoice::Sc,
         RegulatorChoice::Ldo,
@@ -375,54 +329,16 @@ mod tests {
     ];
 
     #[test]
-    fn memoized_crossover_matches_a_fresh_calibration() {
-        for regulator in TOPOLOGIES {
-            let job = regulator_job(regulator);
-            let fresh = BypassPolicy::calibrate(
-                job.config.cell.model(),
-                &job.config.regulator,
-                &job.config.cpu,
-                hems_pv::Irradiance::new(0.02).unwrap(),
-                hems_pv::Irradiance::FULL_SUN,
-            )
-            .map(|p| p.crossover().fraction().to_bits())
-            .map_err(|e| e.to_string());
-            let memo = crossover(&job)
-                .as_ref()
-                .map(|p| p.crossover().fraction().to_bits())
-                .map_err(Clone::clone);
-            assert_eq!(memo, fresh, "{regulator:?}");
-            // Bypass wins everywhere behind a linear regulator: there is
-            // no crossover, and the answer says so.
-            assert_eq!(memo.is_err(), regulator == RegulatorChoice::Ldo);
-        }
-        let ldo = answer(&regulator_job(RegulatorChoice::Ldo)).unwrap();
-        assert_eq!(ldo.get("crossover"), Some(&Value::Null));
-    }
-
-    #[test]
-    fn crossover_is_calibrated_once_per_topology() {
-        for regulator in TOPOLOGIES {
-            let first = crossover(&regulator_job(regulator));
-            let mut dim = ScenarioSpec::baseline(0.1);
-            dim.regulator = regulator;
-            let again = crossover(&PlanJob::build(QueryKind::Bypass, dim).unwrap());
-            assert!(std::ptr::eq(first, again), "{regulator:?}");
-        }
-        let sc = crossover(&regulator_job(RegulatorChoice::Sc));
-        let buck = crossover(&regulator_job(RegulatorChoice::Buck));
-        assert!(!std::ptr::eq(sc, buck));
-    }
-
-    #[test]
     fn the_regulator_is_a_complete_crossover_key() {
-        // Calibration reads the cell model, the regulator and the CPU (the
-        // renderings `hems_core::cachekey` hashes). If any other spec field
-        // ever reaches them, the per-topology memo would serve a stale
-        // crossover; this pins that it cannot.
+        // `bypass` answers read the crossover `BypassPolicy::for_topology`
+        // calibrated on the paper's cell, CPU and regulator of one
+        // topology. That is only this job's crossover if the job runs on
+        // exactly those models and no other spec field reaches them.
         let inputs = |spec: &ScenarioSpec| {
             let (config, _) = spec.build().unwrap();
             let (model, regulator, cpu) = (config.cell.model(), config.regulator, config.cpu);
+            assert_eq!(model, &hems_pv::SolarCellModel::kxob22(), "{spec:?}");
+            assert_eq!(cpu, hems_cpu::Microprocessor::paper_65nm(), "{spec:?}");
             format!("{model:?} {regulator:?} {cpu:?}")
         };
         let perturbations: [fn(&mut ScenarioSpec); 6] = [
@@ -439,12 +355,18 @@ mod tests {
             |s| s.duration = 0.5,
             |s| s.deadline = Some(0.01),
         ];
+        let paper_regulators = [
+            AnyRegulator::from(ScRegulator::paper_65nm()),
+            AnyRegulator::from(Ldo::paper_65nm()),
+            AnyRegulator::from(BuckRegulator::paper_65nm()),
+        ];
         let mut per_topology = Vec::new();
-        for regulator in TOPOLOGIES {
+        for (regulator, paper) in TOPOLOGIES.into_iter().zip(paper_regulators) {
             let base = ScenarioSpec {
                 regulator,
                 ..ScenarioSpec::baseline(1.0)
             };
+            assert_eq!(base.build().unwrap().0.regulator, paper, "{regulator:?}");
             for perturb in perturbations {
                 let mut spec = base.clone();
                 perturb(&mut spec);
@@ -456,6 +378,12 @@ mod tests {
         per_topology.sort();
         per_topology.dedup();
         assert_eq!(per_topology.len(), 3, "each topology calibrates its own");
+        // Bypass wins everywhere behind a linear regulator: there is no
+        // crossover, and the answer says so.
+        let mut ldo = ScenarioSpec::baseline(0.5);
+        ldo.regulator = RegulatorChoice::Ldo;
+        let ldo = answer(&PlanJob::build(QueryKind::Bypass, ldo).unwrap()).unwrap();
+        assert_eq!(ldo.get("crossover"), Some(&Value::Null));
     }
 
     #[test]
@@ -517,7 +445,6 @@ mod tests {
         let a = job(QueryKind::Mep, 0.5);
         let b = job(QueryKind::Mep, 0.5);
         assert_eq!(a.key, b.key);
-        assert!(keys_agree(&a, &b));
         assert_eq!(answer(&a).unwrap().render(), answer(&b).unwrap().render());
     }
 }

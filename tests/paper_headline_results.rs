@@ -8,8 +8,8 @@
 use hems_repro::core::{analysis, mep, BypassPolicy};
 use hems_repro::cpu::Microprocessor;
 use hems_repro::paper::{Claim, CLAIMS};
-use hems_repro::pv::{Irradiance, SolarCell, SolarCellModel};
-use hems_repro::regulator::ScRegulator;
+use hems_repro::pv::{Irradiance, SolarCell};
+use hems_repro::regulator::{RegulatorKind, ScRegulator};
 use hems_repro::units::Volts;
 
 /// Measures each claim and asserts its unrounded value lies in its band.
@@ -74,14 +74,9 @@ fn ldo_never_beats_the_raw_cell() {
 fn bypass_crossover_sits_near_quarter_sun() {
     // Paper Fig. 7a: regulation wins at 100%/50% light, bypass below ~25%.
     // The crossover's band is checked with every other claim's.
-    let policy = BypassPolicy::calibrate(
-        &SolarCellModel::kxob22(),
-        &ScRegulator::paper_65nm(),
-        &Microprocessor::paper_65nm(),
-        Irradiance::new(0.05).unwrap(),
-        Irradiance::FULL_SUN,
-    )
-    .expect("crossover exists");
+    let policy = BypassPolicy::for_topology(RegulatorKind::SwitchedCapacitor)
+        .as_ref()
+        .expect("crossover exists");
     assert!(policy.should_bypass(Irradiance::QUARTER_SUN));
     assert!(!policy.should_bypass(Irradiance::FULL_SUN));
 }
