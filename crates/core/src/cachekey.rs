@@ -1,34 +1,22 @@
-//! Canonical cache keys for configurations and plan queries.
+//! Stable 64-bit keys: the FNV-1a hasher behind plan-cache keys, fleet
+//! and conformance digests, and the router's consistent-hash ring.
 //!
-//! The scenario-planning service (`hems-serve`) answers repeated questions
-//! about identical systems; a plan cache needs a key that is **total**
-//! (every representable configuration hashes without panicking) and
-//! **stable** (equal configurations always produce equal keys, a perturbed
-//! field a different one). This module provides that key as a 64-bit
-//! FNV-1a hash over a *canonical byte stream*:
+//! [`KeyHasher`] hashes a *canonical byte stream*:
 //!
 //! * every field is preceded by a length-prefixed tag, so adjacent fields
 //!   can never alias each other's bytes;
-//! * floats are written as IEEE-754 bit patterns after normalizing the two
-//!   ambiguous encodings (`-0.0` → `+0.0`, every NaN → the canonical quiet
-//!   NaN), so tolerance-free float equality matches key equality;
-//! * lists are length-prefixed;
-//! * opaque component models (the solar cell, capacitor, regulator and
-//!   processor, whose fields are private to their crates) contribute their
-//!   derived `Debug` rendering — which prints every field with
-//!   shortest-round-trip float formatting, so it distinguishes any two
-//!   models that differ in a parameter and is stable for equal models.
+//! * [`KeyHasher::write_f64`] writes IEEE-754 bit patterns after
+//!   normalizing the two ambiguous encodings (`-0.0` → `+0.0`, every NaN
+//!   → the canonical quiet NaN), so tolerance-free float equality matches
+//!   key equality; callers that must separate `-0.0` from `+0.0` write
+//!   `to_bits()` through [`KeyHasher::write_u64`] instead;
+//! * lists are length-prefixed.
 //!
-//! Keys are *not* portable across releases (a renamed field changes the
-//! `Debug` rendering) — they index in-process caches, not durable storage.
-//! Collisions are possible in principle for a 64-bit key; callers that
-//! cannot tolerate them should store the canonicalized inputs alongside
-//! the value, but for a plan cache a ~10⁻¹⁹ per-pair collision rate is
-//! far below the noise floor of the models themselves.
-
-use hems_sim::sweep::SweepPolicy;
-use hems_sim::SystemConfig;
-use hems_units::{Seconds, Volts};
+//! What a plan query's key covers is decided by its one caller,
+//! `hems_serve::proto::ScenarioSpec::cache_key`. Keys index in-process
+//! caches and shard routing, not durable storage. Collisions are possible
+//! in principle for a 64-bit key, but for a plan cache a ~10⁻¹⁹ per-pair
+//! collision rate is far below the noise floor of the models themselves.
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -85,12 +73,6 @@ impl KeyHasher {
         self.write_str(tag);
     }
 
-    /// Feeds an opaque component via its `Debug` rendering (see the module
-    /// docs for why this is canonical enough for in-process keys).
-    pub fn write_debug(&mut self, value: &impl std::fmt::Debug) {
-        self.write_str(&format!("{value:?}"));
-    }
-
     /// The accumulated 64-bit key.
     pub fn finish(&self) -> u64 {
         self.state
@@ -101,95 +83,6 @@ impl Default for KeyHasher {
     fn default() -> KeyHasher {
         KeyHasher::new()
     }
-}
-
-/// Types that can contribute a canonical byte stream to a [`KeyHasher`].
-pub trait Canonical {
-    /// Feeds this value's canonical representation into `hasher`.
-    fn canonicalize(&self, hasher: &mut KeyHasher);
-}
-
-impl Canonical for SystemConfig {
-    fn canonicalize(&self, hasher: &mut KeyHasher) {
-        hasher.write_tag("SystemConfig");
-        hasher.write_tag("cell");
-        hasher.write_debug(&self.cell);
-        hasher.write_tag("capacitor");
-        hasher.write_debug(&self.capacitor);
-        hasher.write_tag("regulator");
-        hasher.write_debug(&self.regulator);
-        hasher.write_tag("cpu");
-        hasher.write_debug(&self.cpu);
-        hasher.write_tag("comparator_thresholds");
-        hasher.write_u64(self.comparator_thresholds.len() as u64);
-        for v in &self.comparator_thresholds {
-            hasher.write_f64(v.volts());
-        }
-        hasher.write_tag("comparator_hysteresis");
-        hasher.write_f64(self.comparator_hysteresis.volts());
-        hasher.write_tag("v_restart");
-        hasher.write_f64(self.v_restart.volts());
-        hasher.write_tag("p_standby");
-        hasher.write_f64(self.p_standby.watts());
-        hasher.write_tag("dvfs_transition");
-        match &self.dvfs_transition {
-            None => hasher.write_tag("none"),
-            Some(t) => {
-                hasher.write_tag("some");
-                hasher.write_f64(t.latency.seconds());
-                hasher.write_f64(t.energy.joules());
-            }
-        }
-        hasher.write_tag("dt");
-        hasher.write_f64(self.dt.seconds());
-    }
-}
-
-impl Canonical for SweepPolicy {
-    fn canonicalize(&self, hasher: &mut KeyHasher) {
-        match self {
-            SweepPolicy::FixedVoltage {
-                vdd,
-                clock_fraction,
-            } => {
-                hasher.write_tag("FixedVoltage");
-                hasher.write_f64(vdd.volts());
-                hasher.write_f64(*clock_fraction);
-            }
-            SweepPolicy::DutyCycle { v_run, v_stop, vdd } => {
-                hasher.write_tag("DutyCycle");
-                hasher.write_f64(v_run.volts());
-                hasher.write_f64(v_stop.volts());
-                hasher.write_f64(vdd.volts());
-            }
-        }
-    }
-}
-
-/// The canonical key of one system configuration.
-pub fn config_key(config: &SystemConfig) -> u64 {
-    let mut hasher = KeyHasher::new();
-    config.canonicalize(&mut hasher);
-    hasher.finish()
-}
-
-/// The canonical key of one simulation scenario: a configuration plus the
-/// control policy and run settings that determine its transient.
-pub fn scenario_key(
-    config: &SystemConfig,
-    policy: &SweepPolicy,
-    v_initial: Volts,
-    duration: Seconds,
-) -> u64 {
-    let mut hasher = KeyHasher::new();
-    config.canonicalize(&mut hasher);
-    hasher.write_tag("policy");
-    policy.canonicalize(&mut hasher);
-    hasher.write_tag("v_initial");
-    hasher.write_f64(v_initial.volts());
-    hasher.write_tag("duration");
-    hasher.write_f64(duration.seconds());
-    hasher.finish()
 }
 
 /// The position of one virtual node on the 64-bit consistent-hash ring:
@@ -252,35 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn equal_configs_key_equal() {
-        let a = SystemConfig::paper_sc_system().unwrap();
-        let b = a.clone();
-        assert_eq!(config_key(&a), config_key(&b));
-    }
-
-    #[test]
-    fn each_scalar_field_reaches_the_key() {
-        let base = SystemConfig::paper_sc_system().unwrap();
-        let k0 = config_key(&base);
-        let mut dt = base.clone();
-        dt.dt = Seconds::from_micro(51.0);
-        assert_ne!(config_key(&dt), k0, "dt must reach the key");
-        let mut restart = base.clone();
-        restart.v_restart = Volts::new(0.61);
-        assert_ne!(config_key(&restart), k0, "v_restart must reach the key");
-        let mut thresholds = base.clone();
-        thresholds.comparator_thresholds.pop();
-        assert_ne!(config_key(&thresholds), k0, "threshold list must reach");
-    }
-
-    #[test]
-    fn component_swap_reaches_the_key() {
-        let sc = SystemConfig::paper_sc_system().unwrap();
-        let ldo = SystemConfig::paper_ldo_system().unwrap();
-        assert_ne!(config_key(&sc), config_key(&ldo));
-    }
-
-    #[test]
     fn zero_signs_are_normalized_but_values_distinguish() {
         let mut a = KeyHasher::new();
         a.write_f64(0.0);
@@ -303,22 +167,5 @@ mod tests {
         b.write_str("a");
         b.write_str("bc");
         assert_ne!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn policy_variants_and_fields_distinguish() {
-        let fixed = SweepPolicy::paper_fixed();
-        let duty = SweepPolicy::paper_duty_cycle();
-        let key = |p: &SweepPolicy| {
-            let mut h = KeyHasher::new();
-            p.canonicalize(&mut h);
-            h.finish()
-        };
-        assert_ne!(key(&fixed), key(&duty));
-        let mut slower = fixed.clone();
-        if let SweepPolicy::FixedVoltage { clock_fraction, .. } = &mut slower {
-            *clock_fraction = 0.5;
-        }
-        assert_ne!(key(&fixed), key(&slower));
     }
 }

@@ -59,18 +59,13 @@ pub struct HolisticConfig {
     /// when the node has sat above the comparators with no natural
     /// crossings (a stale MPP target otherwise persists indefinitely).
     pub recalibration_period: Seconds,
-    /// Optional throughput floor for [`Mode::MinEnergy`]: the MEP search is
-    /// restricted to voltages whose clock reaches this rate (see
-    /// [`crate::mep::system_mep_with_floor`]). `None` reproduces the
-    /// paper's unconstrained Section V operation.
-    pub performance_floor: Option<hems_units::Hertz>,
 }
 
 impl HolisticConfig {
     /// Paper-calibrated defaults for a given mode: 25 mV ladder, 0.5 ms
     /// control period, 20 ms light probes every 500 ms while bypassed, wake
-    /// at 1.0 V, an MPP re-measurement every second and no performance
-    /// floor.
+    /// at 1.0 V and an MPP re-measurement every second. [`Mode::MinEnergy`]
+    /// runs at the unconstrained holistic MEP, as in the paper's §V.
     ///
     /// The bypass thresholds are not tunables: the controller reads them
     /// from its regulator's [`BypassPolicy::for_topology`] (DESIGN §7).
@@ -88,7 +83,6 @@ impl HolisticConfig {
             probe_duration: Seconds::from_milli(20.0),
             wake_voltage: Volts::new(1.0),
             recalibration_period: Seconds::from_milli(1000.0),
-            performance_floor: None,
         }
     }
 }
@@ -179,16 +173,14 @@ impl HolisticController {
             return v;
         }
         let v_in = self.tracker.target();
-        let solved = match self.config.performance_floor {
-            Some(floor) => mep::system_mep_with_floor(view.cpu, view.regulator, v_in, floor),
-            None => mep::system_mep(view.cpu, view.regulator, v_in),
-        };
-        let v = solved.map(|m| m.vdd).unwrap_or_else(|_| {
-            view.cpu
-                .conventional_mep()
-                .map(|m| m.vdd)
-                .unwrap_or(view.cpu.v_min())
-        });
+        let v = mep::system_mep(view.cpu, view.regulator, v_in)
+            .map(|m| m.vdd)
+            .unwrap_or_else(|_| {
+                view.cpu
+                    .conventional_mep()
+                    .map(|m| m.vdd)
+                    .unwrap_or(view.cpu.v_min())
+            });
         let snapped = self.config.ladder.nearest(v);
         self.mep_vdd = Some(snapped);
         snapped
@@ -682,42 +674,6 @@ mod tests {
             .filter(|k| matches!(k, hems_sim::EventKind::BypassEngaged))
             .count();
         assert!(engaged >= 1, "no end-of-discharge bypass observed");
-    }
-
-    #[test]
-    fn min_energy_performance_floor_raises_the_operating_point() {
-        let run_with = |floor: Option<hems_units::Hertz>| {
-            let mut config = HolisticConfig::paper_default(Mode::MinEnergy);
-            config.performance_floor = floor;
-            let mut sim = sim_with(LightProfile::constant(Irradiance::FULL_SUN), 1.1);
-            sim.enable_recorder(10);
-            let mut ctl = HolisticController::new(config);
-            let summary = sim.run(&mut ctl, Seconds::from_milli(200.0));
-            let max_vdd = sim
-                .recorder()
-                .unwrap()
-                .samples()
-                .iter()
-                .map(|s| s.vdd.volts())
-                .fold(0.0f64, f64::max);
-            (summary.total_cycles, max_vdd)
-        };
-        let (unconstrained_cycles, unconstrained_vdd) = run_with(None);
-        let (floored_cycles, floored_vdd) = run_with(Some(hems_units::Hertz::from_mega(400.0)));
-        // A 400 MHz floor forces a much higher operating voltage than the
-        // ~100 MHz holistic MEP (0.52 V); throughput rises too, though the
-        // harvest budget caps how much.
-        // 400 MHz needs ~0.69 V; the 25 mV ladder snaps to 0.675.
-        assert!(
-            floored_vdd > 0.65 && unconstrained_vdd < 0.6,
-            "vdd: floored {floored_vdd} vs unconstrained {unconstrained_vdd}"
-        );
-        assert!(
-            floored_cycles.count() > unconstrained_cycles.count(),
-            "floored {} vs unconstrained {}",
-            floored_cycles.count(),
-            unconstrained_cycles.count()
-        );
     }
 
     #[test]

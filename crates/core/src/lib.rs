@@ -29,9 +29,9 @@
 //! * [`eval`] — the [`PvSource`]/[`CpuEval`] abstraction that lets every
 //!   solver above run on either the exact device models or their LUTs
 //!   (`hems_pv::PvLut`, `hems_cpu::CpuLut`) without duplicated code.
-//! * [`cachekey`] — total, stable 64-bit cache keys over system
-//!   configurations and policies, the identity a plan cache (the
-//!   `hems-serve` service) indexes on.
+//! * [`cachekey`] — the stable 64-bit FNV-1a [`KeyHasher`] and the
+//!   consistent-hash ring helpers; `hems-serve` defines what a plan
+//!   query's key covers (`ScenarioSpec::cache_key`).
 
 // `!(a < b)` is used deliberately throughout this workspace: unlike
 // `a >= b` it is `true` when either operand is NaN, which is exactly the
@@ -54,7 +54,7 @@ pub mod optimal_voltage;
 pub mod sprint;
 
 pub use bypass::BypassPolicy;
-pub use cachekey::{Canonical, KeyHasher};
+pub use cachekey::KeyHasher;
 pub use controller::{HolisticConfig, HolisticController, Mode};
 pub use deadline::DeadlinePlan;
 pub use error::CoreError;

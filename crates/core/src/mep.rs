@@ -116,58 +116,6 @@ pub fn system_mep(
     })
 }
 
-/// Finds the holistic MEP subject to a minimum-performance floor.
-///
-/// Section V assumes "performance is not a constraint"; real deployments
-/// often do have a throughput floor (e.g. one frame per sensing period).
-/// This variant restricts the search to voltages whose maximum clock
-/// reaches `f_min`.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Infeasible`] when the floor exceeds the processor's
-/// capability or nothing in the constrained window is servable.
-pub fn system_mep_with_floor(
-    cpu: &impl CpuEval,
-    regulator: &dyn Regulator,
-    v_in: Volts,
-    f_min: hems_units::Hertz,
-) -> Result<SystemMep, CoreError> {
-    let proc = cpu.processor();
-    let v_floor = proc
-        .frequency_model()
-        .voltage_for_frequency(f_min, proc.v_max())
-        .map_err(|e| CoreError::component("processor", e))?
-        .max(proc.v_min());
-    if v_floor >= proc.v_max() {
-        return Err(CoreError::infeasible(
-            "constrained system mep",
-            format!("performance floor pins the window shut at {v_floor}"),
-        ));
-    }
-    let (v, e) = solve::minimize(
-        |v| match system_energy_per_cycle(cpu, regulator, v_in, Volts::new(v)) {
-            Some(e) => e.joules(),
-            None => f64::NAN,
-        },
-        v_floor.volts(),
-        proc.v_max().volts(),
-        128,
-    )
-    .map_err(|err| match err {
-        hems_units::SolveError::NonFiniteObjective { .. } => CoreError::infeasible(
-            "constrained system mep",
-            format!("no supply voltage above {v_floor} is servable from rail {v_in}"),
-        ),
-        other => CoreError::from(other),
-    })?;
-    Ok(SystemMep {
-        vdd: Volts::new(v),
-        energy_per_cycle: Joules::new(e),
-        v_in,
-    })
-}
-
 /// Computes the full conventional-vs-holistic comparison of Fig. 7b.
 ///
 /// # Errors
@@ -294,26 +242,6 @@ mod tests {
                 assert!(e + Joules::new(1e-18) >= mep.energy_per_cycle);
             }
         }
-    }
-
-    #[test]
-    fn constrained_mep_respects_the_floor() {
-        let cpu = Microprocessor::paper_65nm();
-        let sc = ScRegulator::paper_65nm();
-        let unconstrained = system_mep(&cpu, &sc, rail()).unwrap();
-        // A floor below the MEP's own frequency changes nothing.
-        let f_at_mep = cpu.max_frequency(unconstrained.vdd);
-        let loose = system_mep_with_floor(&cpu, &sc, rail(), f_at_mep * 0.5).unwrap();
-        assert!((loose.vdd - unconstrained.vdd).abs() < Volts::from_milli(5.0));
-        // A floor above it pushes the MEP up to the constraint boundary.
-        let tight = system_mep_with_floor(&cpu, &sc, rail(), f_at_mep * 3.0).unwrap();
-        assert!(tight.vdd > unconstrained.vdd);
-        assert!(cpu.max_frequency(tight.vdd) >= f_at_mep * 3.0 * 0.999);
-        assert!(tight.energy_per_cycle >= unconstrained.energy_per_cycle);
-        // An impossible floor is infeasible.
-        assert!(
-            system_mep_with_floor(&cpu, &sc, rail(), hems_units::Hertz::from_giga(2.0)).is_err()
-        );
     }
 
     #[test]

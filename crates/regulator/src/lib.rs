@@ -73,16 +73,22 @@ pub enum RegulatorKind {
     Hybrid,
 }
 
-impl std::fmt::Display for RegulatorKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl RegulatorKind {
+    /// The topology's short display name ("LDO", "SC", "buck", ...).
+    pub fn name(self) -> &'static str {
+        match self {
             RegulatorKind::Ldo => "LDO",
             RegulatorKind::SwitchedCapacitor => "SC",
             RegulatorKind::Buck => "buck",
             RegulatorKind::Bypass => "bypass",
             RegulatorKind::Hybrid => "hybrid",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for RegulatorKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -6,8 +6,9 @@
 //! multiplies the cache instead of the process: a std-only
 //! NDJSON-over-TCP router that
 //!
-//! 1. computes each plan query's canonical FNV-1a cache key (the same
-//!    `hems_core::cachekey` bytes the backends cache under),
+//! 1. computes each plan query's 64-bit cache key with the backends' own
+//!    `hems_serve::ScenarioSpec::cache_key`, so it is the key they cache
+//!    under,
 //! 2. places it on a 64-bit consistent-hash ring ([`ring`]) so a key
 //!    always lands on the same backend shard — each shard's plan cache
 //!    stays hot for exactly its key range, and aggregate cache capacity

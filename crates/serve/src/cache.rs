@@ -1,9 +1,9 @@
 //! A sharded LRU plan cache.
 //!
 //! Values are *rendered result JSON strings* — caching the final bytes
-//! means a hit costs one hash, one shard lock, and one string clone, with
-//! no re-serialization. Keys are the canonical 64-bit request keys from
-//! `hems_core::cachekey` (via `proto::ScenarioSpec::cache_key`).
+//! means a hit costs one key hash, one shard lock, and one string clone,
+//! with no re-serialization. Keys are the 64-bit request keys of
+//! `proto::ScenarioSpec::cache_key`.
 //!
 //! Sharding: the key's top bits pick one of [`SHARDS`] independently
 //! locked maps, so concurrent connection threads rarely contend on the

@@ -9,8 +9,9 @@
 //! operating point, the system MEP, the bypass decision, a sprint plan,
 //! or a full transient-sweep summary — and the server
 //!
-//! 1. canonicalizes the request into a 64-bit cache key
-//!    (`hems_core::cachekey`),
+//! 1. keys the request by its kind and the scenario fields that vary
+//!    ([`ScenarioSpec::cache_key`], the one definition of a plan
+//!    query's identity),
 //! 2. serves repeats from a sharded LRU plan cache ([`cache`]), and
 //! 3. solves each miss on the connection thread that read it
 //!    ([`server`]), so one connection's answers leave in request order.

@@ -34,8 +34,8 @@
 //! plan).
 
 use crate::json::{parse, Value};
-use hems_core::cachekey::{Canonical, KeyHasher};
-use hems_regulator::{AnyRegulator, BuckRegulator, Ldo, ScRegulator};
+use hems_core::cachekey::KeyHasher;
+use hems_regulator::{AnyRegulator, BuckRegulator, Ldo, Regulator, ScRegulator};
 use hems_sim::sweep::SweepPolicy;
 use hems_sim::{SimError, SystemConfig};
 use hems_storage::Capacitor;
@@ -263,15 +263,45 @@ impl ScenarioSpec {
         Ok((config, self.policy.build()))
     }
 
-    /// The canonical cache key of `(kind, scenario)` — built on
-    /// `hems_core::cachekey` so equal requests collide and any perturbed
-    /// field separates.
+    /// The plan cache's key for `(kind, scenario)`: the one definition of
+    /// a plan query's identity, shared by the cache, the router's ring and
+    /// the client's idempotency id. `config` and `policy` are what
+    /// [`build`](ScenarioSpec::build) returned for this spec.
+    ///
+    /// The key hashes the kind, the three config quantities `build`
+    /// varies (cell irradiance, capacitance, regulator topology), the
+    /// policy and the run fields; every other config field is the paper's
+    /// Fig. 10 constant. Reading the built config rather than the spec
+    /// keeps an omitted capacitance keyed as the board capacitor it
+    /// builds. Irradiance and capacitance hash by their exact bits, so
+    /// `-0.0` sun (rendered `g=-0% sun` in a sweep label) never shares an
+    /// answer with `+0.0`.
     pub fn cache_key(&self, kind: QueryKind, config: &SystemConfig, policy: &SweepPolicy) -> u64 {
         let mut hasher = KeyHasher::new();
         hasher.write_tag(kind.as_wire());
-        config.canonicalize(&mut hasher);
+        hasher.write_tag("irradiance");
+        hasher.write_u64(config.cell.irradiance().fraction().to_bits());
+        hasher.write_tag("capacitance");
+        hasher.write_u64(config.capacitor.capacitance().farads().to_bits());
+        hasher.write_tag("regulator");
+        hasher.write_tag(config.regulator.kind().name());
         hasher.write_tag("policy");
-        policy.canonicalize(&mut hasher);
+        match *policy {
+            SweepPolicy::FixedVoltage {
+                vdd,
+                clock_fraction,
+            } => {
+                hasher.write_tag("FixedVoltage");
+                hasher.write_f64(vdd.volts());
+                hasher.write_f64(clock_fraction);
+            }
+            SweepPolicy::DutyCycle { v_run, v_stop, vdd } => {
+                hasher.write_tag("DutyCycle");
+                hasher.write_f64(v_run.volts());
+                hasher.write_f64(v_stop.volts());
+                hasher.write_f64(vdd.volts());
+            }
+        }
         hasher.write_tag("v_initial");
         hasher.write_f64(self.v_initial);
         hasher.write_tag("duration");
@@ -509,31 +539,6 @@ mod tests {
         let req = Request::parse_line(&line).unwrap();
         assert_eq!(req.kind, QueryKind::Sprint);
         assert_eq!(req.scenario.unwrap(), spec);
-    }
-
-    #[test]
-    fn cache_keys_separate_query_kinds_and_fields() {
-        let spec = ScenarioSpec::baseline(0.5);
-        let (config, policy) = spec.build().unwrap();
-        let k_mep = spec.cache_key(QueryKind::Mep, &config, &policy);
-        let k_opt = spec.cache_key(QueryKind::OptimalPoint, &config, &policy);
-        assert_ne!(k_mep, k_opt, "query kind reaches the key");
-        let mut dim = spec.clone();
-        dim.irradiance = 0.4;
-        let (config2, policy2) = dim.build().unwrap();
-        assert_ne!(
-            k_mep,
-            dim.cache_key(QueryKind::Mep, &config2, &policy2),
-            "irradiance reaches the key"
-        );
-        let mut dl = spec.clone();
-        dl.deadline = Some(0.02);
-        let (config3, policy3) = dl.build().unwrap();
-        assert_ne!(
-            k_mep,
-            dl.cache_key(QueryKind::Mep, &config3, &policy3),
-            "deadline reaches the key"
-        );
     }
 
     #[test]

@@ -3,7 +3,7 @@ use crate::{
     PowerPath, Sample, SimError, WaveformRecorder,
 };
 use hems_cpu::{CpuLut, Microprocessor};
-use hems_pv::{PvLut, SolarCell};
+use hems_pv::SolarCell;
 use hems_regulator::{AnyRegulator, Regulator, ScRegulator};
 use hems_storage::{Capacitor, ComparatorBank, Crossing};
 use hems_units::{Cycles, Efficiency, Farads, Hertz, Seconds, UnitsError, Volts, Watts};
@@ -174,7 +174,6 @@ pub struct Simulation {
     last_vdd: Volts,
     stall_until: Seconds,
     total_cycles: Cycles,
-    pv_lut: Option<PvLut>,
     cpu_lut: Option<CpuLut>,
     /// Scan cursor for `LightProfile::at_with_cursor` — time moves
     /// forward one `dt` per step, so outage-window lookup stays O(1).
@@ -222,7 +221,6 @@ impl Simulation {
             last_vdd: Volts::ZERO,
             stall_until: Seconds::ZERO,
             total_cycles: Cycles::ZERO,
-            pv_lut: None,
             cpu_lut: None,
             light_cursor: 0,
         })
@@ -289,55 +287,27 @@ impl Simulation {
             .push(self.now, EventKind::Note { text: text.into() });
     }
 
-    /// Installs device LUTs for the step hot path: the PV table replaces the
-    /// per-step implicit-diode bisection and the CPU table replaces the
+    /// Installs the CPU table for the step hot path: it replaces the
     /// closed-form frequency/power evaluation inside [`resolve`]. Results
     /// then carry the LUT-parity contract (≤ 0.1 % on device quantities)
     /// instead of matching the exact models bitwise, but remain bitwise
-    /// deterministic run-to-run for a fixed pair of tables.
-    ///
-    /// The PV table is only consulted while its irradiance matches the
-    /// light profile's current value; under any other light the simulation
-    /// silently falls back to the exact cell, so installing a LUT is always
-    /// safe but only profitable for constant-light scenarios.
+    /// deterministic run-to-run for a fixed table. Harvest stays on the
+    /// exact cell; the batch engine feeds its own slab power through
+    /// [`Simulation::step_with_harvest`].
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when a table was built for different hardware
-    /// than this simulation's configuration.
-    pub fn install_device_luts(
-        &mut self,
-        pv: Option<PvLut>,
-        cpu: Option<CpuLut>,
-    ) -> Result<(), SimError> {
-        if let Some(lut) = &pv {
-            if lut.cell().model() != self.config.cell.model() {
-                return Err(SimError::component(
-                    "pv lut",
-                    "table was built for a different solar-cell model",
-                ));
-            }
+    /// Returns [`SimError`] when the table was built for a different
+    /// microprocessor than this simulation's configuration.
+    pub fn install_cpu_lut(&mut self, cpu: CpuLut) -> Result<(), SimError> {
+        if cpu.cpu() != &self.config.cpu {
+            return Err(SimError::component(
+                "cpu lut",
+                "table was built for a different microprocessor",
+            ));
         }
-        if let Some(lut) = &cpu {
-            if lut.cpu() != &self.config.cpu {
-                return Err(SimError::component(
-                    "cpu lut",
-                    "table was built for a different microprocessor",
-                ));
-            }
-        }
-        self.pv_lut = pv;
-        self.cpu_lut = cpu;
+        self.cpu_lut = Some(cpu);
         Ok(())
-    }
-
-    /// Harvest power at `v_solar` under the current light: the installed PV
-    /// LUT when its irradiance matches, the exact cell otherwise.
-    fn harvest_power(&self, v_solar: Volts) -> Watts {
-        match &self.pv_lut {
-            Some(lut) if lut.irradiance() == self.cell.irradiance() => lut.power_at(v_solar),
-            _ => self.cell.power_at(v_solar),
-        }
     }
 
     fn cpu_fmax(&self, vdd: Volts) -> Hertz {
@@ -444,7 +414,7 @@ impl Simulation {
         if resolved.vdd.is_positive() {
             self.last_vdd = resolved.vdd;
         }
-        let p_harvest = supplied_harvest.unwrap_or_else(|| self.harvest_power(v_solar));
+        let p_harvest = supplied_harvest.unwrap_or_else(|| self.cell.power_at(v_solar));
         // Always-on overhead: board standby plus capacitor self-discharge.
         let p_standby = if v_solar.is_positive() {
             self.config.p_standby + self.capacitor.leakage_power()
@@ -903,15 +873,14 @@ mod tests {
     }
 
     #[test]
-    fn device_luts_track_the_exact_step_path() {
-        let run = |with_luts: bool| {
+    fn the_cpu_lut_tracks_the_exact_step_path() {
+        let run = |with_lut: bool| {
             let config = SystemConfig::paper_sc_system().unwrap();
             let light = LightProfile::constant(Irradiance::FULL_SUN);
             let mut sim = Simulation::new(config.clone(), light, Volts::new(1.1)).unwrap();
-            if with_luts {
-                let pv = PvLut::build_default(config.cell.clone()).unwrap();
-                let cpu = CpuLut::build_default(config.cpu.clone());
-                sim.install_device_luts(Some(pv), Some(cpu)).unwrap();
+            if with_lut {
+                sim.install_cpu_lut(CpuLut::build_default(config.cpu.clone()))
+                    .unwrap();
             }
             let mut ctl = FixedVoltageController::new(Volts::new(0.55));
             sim.run(&mut ctl, Seconds::from_milli(100.0))
@@ -933,36 +902,20 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_luts_are_rejected_and_wrong_light_falls_back() {
-        // A table built for different hardware is refused at install time.
+    fn a_cpu_lut_for_other_hardware_is_refused() {
         let mut sim = sim_at(1.1);
-        let other_model = hems_pv::SolarCellModel::new(
-            hems_units::Amps::from_milli(5.0),
-            Volts::new(1.2),
-            Volts::new(0.15),
-            hems_units::Ohms::new(0.5),
+        let narrower = Microprocessor::new(
+            hems_cpu::FrequencyModel::paper_65nm(),
+            hems_cpu::PowerModel::paper_65nm(),
+            Volts::new(0.5),
+            Volts::new(1.0),
         )
         .unwrap();
-        let other_cell = SolarCell::new(other_model, Irradiance::FULL_SUN);
-        let pv = PvLut::build_default(other_cell).unwrap();
-        assert!(sim.install_device_luts(Some(pv), None).is_err());
-
-        // Right model, wrong irradiance: installs fine, but every step under
-        // the mismatched light takes the exact path, so the run is bitwise
-        // the plain one.
-        let run = |stale_lut: bool| {
-            let config = SystemConfig::paper_sc_system().unwrap();
-            let light = LightProfile::constant(Irradiance::FULL_SUN);
-            let mut sim = Simulation::new(config, light, Volts::new(1.1)).unwrap();
-            if stale_lut {
-                let half_sun_cell = SolarCell::kxob22(Irradiance::HALF_SUN);
-                let pv = PvLut::build_default(half_sun_cell).unwrap();
-                sim.install_device_luts(Some(pv), None).unwrap();
-            }
-            let mut ctl = FixedVoltageController::new(Volts::new(0.55));
-            sim.run(&mut ctl, Seconds::from_milli(50.0))
-        };
-        assert_eq!(run(false), run(true));
+        assert!(sim
+            .install_cpu_lut(CpuLut::build_default(narrower))
+            .is_err());
+        let paper = CpuLut::build_default(Microprocessor::paper_65nm());
+        assert!(sim.install_cpu_lut(paper).is_ok());
     }
 
     #[test]

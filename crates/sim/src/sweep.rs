@@ -586,7 +586,7 @@ fn run_lut_chunk(
         let light = LightProfile::constant(irradiance);
         let built = Simulation::new(scenario.config.clone(), light, scenario.v_initial).and_then(
             |mut sim| {
-                sim.install_device_luts(None, Some(cpu.clone()))?;
+                sim.install_cpu_lut(cpu.clone())?;
                 Ok(sim)
             },
         );

@@ -33,11 +33,9 @@
 mod capacitor;
 mod comparator;
 mod error;
-mod federated;
 mod timer;
 
 pub use capacitor::Capacitor;
 pub use comparator::{Comparator, ComparatorBank, Crossing, Edge};
 pub use error::StorageError;
-pub use federated::FederatedStorage;
 pub use timer::{DischargeObservation, DischargeTimer};
