@@ -11,9 +11,7 @@
 use crate::{operating_point, optimal_voltage, CoreError, CpuEval};
 use hems_cpu::Microprocessor;
 use hems_pv::{Irradiance, SolarCell, SolarCellModel};
-use hems_regulator::{
-    BuckRegulator, Bypass, HybridRegulator, Ldo, Regulator, RegulatorKind, ScRegulator,
-};
+use hems_regulator::{BuckRegulator, Bypass, Ldo, Regulator, RegulatorKind, ScRegulator};
 use hems_units::{Volts, Watts};
 use std::sync::OnceLock;
 
@@ -114,13 +112,11 @@ impl BypassPolicy {
         static SC: Slot = OnceLock::new();
         static BUCK: Slot = OnceLock::new();
         static BYPASS: Slot = OnceLock::new();
-        static HYBRID: Slot = OnceLock::new();
         let (slot, regulator): (&Slot, fn() -> Box<dyn Regulator>) = match kind {
             RegulatorKind::Ldo => (&LDO, || Box::new(Ldo::paper_65nm())),
             RegulatorKind::SwitchedCapacitor => (&SC, || Box::new(ScRegulator::paper_65nm())),
             RegulatorKind::Buck => (&BUCK, || Box::new(BuckRegulator::paper_65nm())),
             RegulatorKind::Bypass => (&BYPASS, || Box::new(Bypass::ideal())),
-            RegulatorKind::Hybrid => (&HYBRID, || Box::new(HybridRegulator::paper_65nm())),
         };
         slot.get_or_init(|| {
             BypassPolicy::calibrate(

@@ -161,11 +161,6 @@ impl HolisticController {
         self.bypassed
     }
 
-    /// The MPPT target for the solar node.
-    pub fn mppt_target(&self) -> Volts {
-        self.tracker.target()
-    }
-
     /// Lazily computes and caches the holistic MEP voltage from the
     /// system models in `view`, snapped to the ladder.
     fn mep_vdd(&mut self, view: &SystemView<'_>) -> Volts {
@@ -716,6 +711,5 @@ mod tests {
         let ctl = HolisticController::paper_default(Mode::MaxPerformance);
         assert_eq!(ctl.name(), "holistic");
         assert!(!ctl.is_bypassed());
-        assert!(ctl.mppt_target().is_positive());
     }
 }

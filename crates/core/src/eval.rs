@@ -6,16 +6,14 @@
 //! over two small traits rather than hard-wired to [`SolarCell`] and
 //! [`Microprocessor`]. Passing the exact models gives the reference
 //! answer; passing a [`PvLut`]/[`CpuLut`] pair gives the same answer to
-//! ≤0.1 % from O(1) table lookups — the fast path the scenario sweeps and
-//! figure benches run on. One solver body serves both, so the fast path
-//! can never diverge from the exact one in anything but interpolation
-//! error.
+//! ≤0.1 % from O(1) table lookups (the conformance plane's `solver_lut`
+//! oracle holds the pair to that contract). One solver body serves both,
+//! so the fast path can never diverge from the exact one in anything but
+//! interpolation error.
 //!
 //! The regulator deliberately stays exact everywhere: its conversion math
 //! is closed-form (no inner solves to amortize), and the SC topology's
-//! ratio cliffs make voltage-axis interpolation hazardous. See
-//! `hems_regulator::EfficiencyGrid` for the plotting/sweep-grid use case
-//! where tabulated efficiency *is* appropriate.
+//! ratio cliffs make voltage-axis interpolation hazardous.
 
 use hems_cpu::{CpuLut, Microprocessor};
 use hems_pv::{Mpp, PvError, PvLut, SolarCell};

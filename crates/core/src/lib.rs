@@ -25,7 +25,8 @@
 //! * [`controller`] — the [`HolisticController`]: the runtime policy tying
 //!   time-based MPP tracking, DVFS, low-light bypass and sprinting together
 //!   inside the simulator (Fig. 11b).
-//! * [`analysis`] — figure-level aggregation helpers the benches print.
+//! * [`analysis`] — figure-level aggregation helpers (Figs. 6 and 7b, the
+//!   headline numbers) that `hems paper` prints.
 //! * [`eval`] — the [`PvSource`]/[`CpuEval`] abstraction that lets every
 //!   solver above run on either the exact device models or their LUTs
 //!   (`hems_pv::PvLut`, `hems_cpu::CpuLut`) without duplicated code.

@@ -102,13 +102,6 @@ impl SprintPlan {
         }
     }
 
-    /// Total cycles-proportional work of the schedule equals the constant
-    /// schedule's: `∫ speed dt = P · T` either way (speed ∝ drawn power at
-    /// fixed voltage).
-    pub fn total_draw(&self) -> Joules {
-        self.p_nominal * self.duration
-    }
-
     /// Simulates the discharge transient under both schedules on the same
     /// plant (a quasi-static explicit integration at `dt`) and compares the
     /// harvested solar energy — the quantity behind eqs. 12–13.
@@ -262,7 +255,8 @@ mod tests {
         for i in 0..steps {
             total += plan.drawn_power(Seconds::new(i as f64 * dt.seconds())) * dt;
         }
-        let expected = plan.total_draw();
+        // Both schedules do the constant schedule's work: P · T.
+        let expected = plan.p_nominal * plan.duration;
         assert!(
             (total - expected).abs().joules() < 1e-3 * expected.joules(),
             "total {total:?} vs expected {expected:?}"

@@ -1,6 +1,6 @@
 //! Cross-path parity: every solver fed the LUT device models must agree
 //! with the same solver fed the exact models to ≤ 0.1 % — the contract
-//! that lets the sweep engine and figure benches run on the fast path.
+//! that makes the LUTs a drop-in fast path for every solver.
 //!
 //! The sweeps mirror the paper's figures: Fig. 6 (operating points vs
 //! light level), Fig. 7a (regulated-vs-bypass), Fig. 7b (system MEP), and

@@ -20,16 +20,6 @@ impl EnergyBreakdown {
     pub fn total(&self) -> Joules {
         self.dynamic + self.leakage
     }
-
-    /// Leakage share of total energy in `[0, 1]`.
-    pub fn leakage_fraction(&self) -> f64 {
-        let t = self.total();
-        if t.is_positive() {
-            self.leakage / t
-        } else {
-            0.0
-        }
-    }
 }
 
 /// A minimum-energy point: the supply voltage minimizing energy per cycle.
@@ -130,16 +120,10 @@ mod tests {
         let (f, p) = models();
         let low = energy_breakdown(&f, &p, Volts::new(0.42)).unwrap();
         let high = energy_breakdown(&f, &p, Volts::new(0.9)).unwrap();
-        assert!(
-            low.leakage_fraction() > 0.5,
-            "low {}",
-            low.leakage_fraction()
-        );
-        assert!(
-            high.leakage_fraction() < 0.05,
-            "high {}",
-            high.leakage_fraction()
-        );
+        let low = low.leakage / low.total();
+        let high = high.leakage / high.total();
+        assert!(low > 0.5, "low {low}");
+        assert!(high < 0.05, "high {high}");
     }
 
     #[test]
@@ -154,7 +138,7 @@ mod tests {
         let (f, p) = models();
         let b = energy_breakdown(&f, &p, Volts::new(0.6)).unwrap();
         assert!((b.total().joules() - (b.dynamic + b.leakage).joules()).abs() < 1e-20);
-        assert!(b.leakage_fraction() > 0.0 && b.leakage_fraction() < 1.0);
+        assert!(b.leakage.is_positive() && b.dynamic.is_positive());
     }
 
     #[test]

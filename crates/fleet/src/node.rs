@@ -630,10 +630,12 @@ mod tests {
         assert_eq!(per_task.period_useful, coarse.period_useful);
         assert!(per_task.period_checkpoint > coarse.period_checkpoint);
         // One period's work equals the chain's iteration cycles.
-        assert_eq!(
-            per_task.period_useful,
-            small_chain().iteration_cycles().count()
-        );
+        let chain_cycles: f64 = small_chain()
+            .tasks()
+            .iter()
+            .map(|t| t.cycles().count())
+            .sum();
+        assert_eq!(per_task.period_useful, chain_cycles);
     }
 
     #[test]

@@ -94,11 +94,6 @@ impl TaskChain {
     pub fn is_empty(&self) -> bool {
         false
     }
-
-    /// Total compute cycles of one full iteration (excluding checkpoints).
-    pub fn iteration_cycles(&self) -> Cycles {
-        self.tasks.iter().map(|t| t.cycles()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +113,7 @@ mod tests {
         assert_eq!(chain.len(), 5);
         assert!(!chain.is_empty());
         // One iteration ~ one calibrated 64x64 frame (~1.05 Mcycles).
-        let total = chain.iteration_cycles().count();
+        let total: f64 = chain.tasks().iter().map(|t| t.cycles().count()).sum();
         assert!((0.9e6..1.2e6).contains(&total), "total {total}");
     }
 

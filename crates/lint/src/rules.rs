@@ -27,26 +27,28 @@ use crate::lexer::{Token, TokenKind};
 use crate::parser::ParsedFile;
 use crate::report::Finding;
 use crate::source::{next_significant, paren_group, prev_significant, SourceFile};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Allowlists for the `units` and `timing` rules.
 #[derive(Debug, Default)]
 pub struct RuleConfig {
-    /// `units` exemptions, keyed `path::fn_name`.
-    pub units_allow: HashSet<String>,
+    /// `units` exemptions, keyed `path::fn_name`, each mapped to its
+    /// 1-based line in the allowlist file.
+    pub units_allow: HashMap<String, u32>,
     /// `timing` exemptions, keyed `path::ident` (or a bare `path` to
-    /// exempt a whole file).
-    pub timing_allow: HashSet<String>,
+    /// exempt a whole file), mapped to their allowlist lines.
+    pub timing_allow: HashMap<String, u32>,
 }
 
 impl RuleConfig {
     /// Parses one allowlist file's text: one key per line, `#` comments
-    /// and blank lines ignored.
-    pub fn parse_allowlist(text: &str) -> HashSet<String> {
+    /// and blank lines ignored. Each key maps to its 1-based line.
+    pub fn parse_allowlist(text: &str) -> HashMap<String, u32> {
         text.lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .map(str::to_string)
+            .zip(1..)
+            .map(|(l, n)| (l.trim(), n))
+            .filter(|(l, _)| !l.is_empty() && !l.starts_with('#'))
+            .map(|(l, n)| (l.to_string(), n))
             .collect()
     }
 }
@@ -179,7 +181,6 @@ pub fn check_file(
 
 /// Reconciles per-crate error-type facts into hygiene findings.
 pub fn reconcile_error_types(facts_per_file: &[(String, ErrorTypeFacts)]) -> Vec<Finding> {
-    use std::collections::HashMap;
     #[derive(Default)]
     struct CrateFacts {
         declared: Vec<(String, String, u32)>, // (type, file, line)
@@ -369,7 +370,32 @@ fn index_expression_target(tokens: &[Token], open: usize) -> Option<String> {
 }
 
 fn scan_units(file: &SourceFile, cfg: &RuleConfig, findings: &mut Vec<Finding>) {
+    for (name, name_line) in raw_float_pub_fns(file) {
+        let key = format!("{}::{}", file.rel_path, name);
+        if !cfg.units_allow.contains_key(&key) {
+            push_unless_allowed(
+                file,
+                findings,
+                Finding::new(
+                    "units",
+                    &file.rel_path,
+                    name_line,
+                    format!(
+                        "pub fn `{name}` exposes raw f64/f32 in its signature; \
+                         use a hems_units quantity or allowlist `{key}`"
+                    ),
+                ),
+            );
+        }
+    }
+}
+
+/// The `units` rule's subjects in `file`: every non-test `pub fn` whose
+/// signature names a raw `f64`/`f32`, as `(name, name_line)` in source
+/// order.
+pub fn raw_float_pub_fns(file: &SourceFile) -> Vec<(String, u32)> {
     let tokens = &file.tokens;
+    let mut found = Vec::new();
     let mut i = 0;
     while let Some(token) = tokens.get(i) {
         let in_test = file.in_test.get(i).copied().unwrap_or(false);
@@ -389,25 +415,11 @@ fn scan_units(file: &SourceFile, cfg: &RuleConfig, findings: &mut Vec<Finding>) 
             .filter(|t| !t.is_comment())
             .any(|t| t.kind == TokenKind::Ident && (t.text == "f64" || t.text == "f32"));
         if raw_float {
-            let key = format!("{}::{}", file.rel_path, name);
-            if !cfg.units_allow.contains(&key) {
-                push_unless_allowed(
-                    file,
-                    findings,
-                    Finding::new(
-                        "units",
-                        &file.rel_path,
-                        name_line,
-                        format!(
-                            "pub fn `{name}` exposes raw f64/f32 in its signature; \
-                             use a hems_units quantity or allowlist `{key}`"
-                        ),
-                    ),
-                );
-            }
+            found.push((name, name_line));
         }
         i = sig_end;
     }
+    found
 }
 
 /// Parses a `pub [(...)]? [const|async]* fn name(...) -> ...` head
@@ -442,7 +454,7 @@ fn parse_pub_fn(tokens: &[Token], pub_index: usize) -> Option<(String, u32, usiz
 }
 
 fn scan_timing(file: &SourceFile, cfg: &RuleConfig, findings: &mut Vec<Finding>) {
-    if cfg.timing_allow.contains(&file.rel_path) {
+    if cfg.timing_allow.contains_key(&file.rel_path) {
         return; // whole-file exemption
     }
     let tokens = &file.tokens;
@@ -467,7 +479,7 @@ fn scan_timing(file: &SourceFile, cfg: &RuleConfig, findings: &mut Vec<Finding>)
         };
         let Some(what) = what else { continue };
         let key = format!("{}::{}", file.rel_path, token.text);
-        if cfg.timing_allow.contains(&key) {
+        if cfg.timing_allow.contains_key(&key) {
             continue;
         }
         push_unless_allowed(
@@ -875,7 +887,7 @@ mod tests {
         // An allowlist entry silences it.
         let mut cfg = RuleConfig::default();
         cfg.units_allow
-            .insert("crates/pv/src/demo.rs::power".to_string());
+            .insert("crates/pv/src/demo.rs::power".to_string(), 1);
         assert!(check_cfg(rel, "pub fn power(v: f64) -> f64 { v }", &cfg)
             .0
             .is_empty());
@@ -917,7 +929,7 @@ mod tests {
         // Allowlist exemptions: per-ident and whole-file.
         let mut cfg = RuleConfig::default();
         cfg.timing_allow
-            .insert("crates/sim/src/demo.rs::var".to_string());
+            .insert("crates/sim/src/demo.rs::var".to_string(), 1);
         assert!(
             check_cfg(rel, "fn f() { let v = std::env::var(\"X\"); }", &cfg)
                 .0

@@ -15,6 +15,7 @@ use crate::passes::{self, PassCounts};
 use crate::report::{Baseline, Finding};
 use crate::rules::{self, ErrorTypeFacts, RuleConfig};
 use crate::source::SourceFile;
+use std::collections::HashSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -103,6 +104,7 @@ pub fn analyze_workspace(root: &Path, cfg: &RuleConfig) -> io::Result<Analysis> 
         parsed.push(unit.parsed);
     }
     findings.extend(rules::reconcile_error_types(&facts));
+    findings.extend(stale_units_entries(&sources, cfg));
     let pass = passes::run(&sources, &parsed);
     findings.extend(pass.findings);
     findings.sort_by(|a, b| {
@@ -113,6 +115,34 @@ pub fn analyze_workspace(root: &Path, cfg: &RuleConfig) -> io::Result<Analysis> 
         files_scanned: files.len(),
         passes: pass.counts,
     })
+}
+
+/// `units` allowlist entries that silence nothing: no non-test `pub fn`
+/// of that name in that file exposes a raw float. Deleting or retyping a
+/// function must take its permission with it, or the key would silently
+/// admit a later function of the same name.
+fn stale_units_entries(sources: &[SourceFile], cfg: &RuleConfig) -> Vec<Finding> {
+    let live: HashSet<String> = sources
+        .iter()
+        .filter(|file| rules::units_rule_applies(&file.rel_path))
+        .flat_map(|file| {
+            rules::raw_float_pub_fns(file)
+                .into_iter()
+                .map(move |(name, _)| format!("{}::{}", file.rel_path, name))
+        })
+        .collect();
+    cfg.units_allow
+        .iter()
+        .filter(|(key, _)| !live.contains(*key))
+        .map(|(key, &line)| {
+            Finding::new(
+                "units",
+                UNITS_ALLOWLIST,
+                line,
+                format!("stale allowlist entry `{key}`: no pub fn of that name there exposes raw f64/f32; remove it"),
+            )
+        })
+        .collect()
 }
 
 /// One file's parse + per-file rule output.

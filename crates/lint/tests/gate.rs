@@ -33,6 +33,40 @@ fn the_workspace_passes_its_own_gate() {
     );
 }
 
+/// A `units` allowlist entry that silences nothing is itself a finding,
+/// reported at its allowlist line: one naming a function that no longer
+/// exists, and one naming a `pub fn` whose signature has no raw float.
+/// The committed entries stay silent.
+#[test]
+fn stale_units_allowlist_entries_are_findings() {
+    let root = repo_root();
+    let committed = std::fs::read_to_string(root.join(hems_lint::workspace::UNITS_ALLOWLIST))
+        .expect("units allowlist reads");
+    let planted =
+        format!("{committed}\ncrates/pv/src/lut.rs::current_at_many\ncrates/pv/src/lut.rs::mpp\n");
+    let first_planted = u32::try_from(committed.lines().count()).expect("short file") + 2;
+    let mut cfg = load_config(&root);
+    cfg.units_allow = hems_lint::RuleConfig::parse_allowlist(&planted);
+    let analysis = analyze_workspace(&root, &cfg).expect("analysis runs");
+    let (fresh, _) = load_baseline(&root).partition(analysis.findings);
+    let found: Vec<(&str, u32, bool)> = fresh
+        .iter()
+        .map(|f| (f.file.as_str(), f.line, f.rule == "units"))
+        .collect();
+    assert_eq!(
+        found,
+        vec![
+            ("crates/lint/allow/units.txt", first_planted, true),
+            ("crates/lint/allow/units.txt", first_planted + 1, true),
+        ],
+        "{fresh:?}"
+    );
+    assert!(fresh[0]
+        .message
+        .contains("`crates/pv/src/lut.rs::current_at_many`"));
+    assert!(fresh[1].message.contains("`crates/pv/src/lut.rs::mpp`"));
+}
+
 /// The headline guarantee of this PR: the service plane's panic-freedom
 /// baseline is EMPTY — no `panic`/`index` finding in `crates/serve/src`
 /// or `crates/sim/src/pool.rs` is baselined away; there simply are none.

@@ -14,8 +14,6 @@ use hems_units::{LinearTable, Volts, Watts};
 #[derive(Debug, Clone, PartialEq)]
 pub struct MppLookupTable {
     table: LinearTable,
-    p_min: Watts,
-    p_max: Watts,
 }
 
 impl MppLookupTable {
@@ -61,17 +59,11 @@ impl MppLookupTable {
                 reason: "mpp power is not strictly increasing with light".into(),
             });
         }
-        let p_min = Watts::new(powers[0]);
-        let p_max = Watts::new(powers.last().copied().unwrap_or(powers[0]));
         let table =
             LinearTable::new(powers, voltages).map_err(|e| MpptError::TableConstruction {
                 reason: format!("interpolation table rejected sweep: {e}"),
             })?;
-        Ok(MppLookupTable {
-            table,
-            p_min,
-            p_max,
-        })
+        Ok(MppLookupTable { table })
     }
 
     /// The table for the paper's cell, swept from 2 % to 120 % sun over 64
@@ -97,11 +89,6 @@ impl MppLookupTable {
     /// swept range).
     pub fn mpp_voltage(&self, p_in: Watts) -> Volts {
         Volts::new(self.table.eval(p_in.watts()))
-    }
-
-    /// The swept power range `(min, max)`.
-    pub fn power_range(&self) -> (Watts, Watts) {
-        (self.p_min, self.p_max)
     }
 }
 
@@ -132,7 +119,8 @@ mod tests {
     #[test]
     fn clamps_outside_swept_range() {
         let lut = MppLookupTable::paper_default();
-        let (p_min, p_max) = lut.power_range();
+        let (lo, hi) = lut.table.domain();
+        let (p_min, p_max) = (Watts::new(lo), Watts::new(hi));
         let below = lut.mpp_voltage(p_min * 0.1);
         let above = lut.mpp_voltage(p_max * 10.0);
         assert_eq!(below, lut.mpp_voltage(p_min));
@@ -151,7 +139,8 @@ mod tests {
     #[test]
     fn voltage_rises_with_power() {
         let lut = MppLookupTable::paper_default();
-        let (p_min, p_max) = lut.power_range();
+        let (lo, hi) = lut.table.domain();
+        let (p_min, p_max) = (Watts::new(lo), Watts::new(hi));
         let mut prev = Volts::ZERO;
         for i in 0..=10 {
             let p = p_min + (p_max - p_min) * (i as f64 / 10.0);

@@ -1,5 +1,5 @@
 use crate::SolarCell;
-use hems_units::{Amps, LinearTable, Volts, Watts};
+use hems_units::{Amps, Volts, Watts};
 
 /// One sample on an I-V curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,10 +17,8 @@ impl IvPoint {
     }
 }
 
-/// A sampled I-V curve, as plotted in the paper's Fig. 2.
-///
-/// Provides the interpolation tables the MPPT lookup machinery and the
-/// figure-regeneration benches consume.
+/// A sampled I-V curve, as plotted in the paper's Fig. 2 (`hems iv`
+/// prints one).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IvCurve {
     points: Vec<IvPoint>,
@@ -53,49 +51,6 @@ impl IvCurve {
     pub fn points(&self) -> &[IvPoint] {
         &self.points
     }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Always `false`: construction requires at least two samples.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The sample with the highest power (a discrete MPP estimate).
-    pub fn peak_power_point(&self) -> IvPoint {
-        *self
-            .points
-            .iter()
-            .max_by(|a, b| {
-                a.power()
-                    .watts()
-                    .partial_cmp(&b.power().watts())
-                    .expect("finite powers")
-            })
-            .expect("non-empty by construction")
-    }
-
-    /// An interpolation table mapping voltage to current.
-    ///
-    /// # Panics
-    ///
-    /// Never panics in practice: samples are evenly spaced and finite by
-    /// construction.
-    pub fn to_current_table(&self) -> LinearTable {
-        let xs = self.points.iter().map(|p| p.voltage.volts()).collect();
-        let ys = self.points.iter().map(|p| p.current.amps()).collect();
-        LinearTable::new(xs, ys).expect("sampled curve is a valid table")
-    }
-
-    /// An interpolation table mapping voltage to power.
-    pub fn to_power_table(&self) -> LinearTable {
-        let xs = self.points.iter().map(|p| p.voltage.volts()).collect();
-        let ys = self.points.iter().map(|p| p.power().watts()).collect();
-        LinearTable::new(xs, ys).expect("sampled curve is a valid table")
-    }
 }
 
 #[cfg(test)]
@@ -103,15 +58,10 @@ mod tests {
     use super::*;
     use crate::Irradiance;
 
-    fn curve() -> IvCurve {
-        SolarCell::kxob22(Irradiance::FULL_SUN).iv_curve(101)
-    }
-
     #[test]
     fn sample_spans_zero_to_voc() {
-        let c = curve();
-        assert_eq!(c.len(), 101);
-        assert!(!c.is_empty());
+        let c = SolarCell::kxob22(Irradiance::FULL_SUN).iv_curve(101);
+        assert_eq!(c.points().len(), 101);
         assert_eq!(c.points()[0].voltage, Volts::ZERO);
         let last = c.points().last().unwrap();
         assert!((last.voltage.volts() - 1.5).abs() < 0.05);
@@ -119,45 +69,9 @@ mod tests {
     }
 
     #[test]
-    fn peak_power_point_matches_continuous_mpp() {
-        let cell = SolarCell::kxob22(Irradiance::FULL_SUN);
-        let discrete = cell.iv_curve(401).peak_power_point();
-        let continuous = cell.mpp().unwrap();
-        assert!((discrete.voltage.volts() - continuous.voltage.volts()).abs() < 0.01);
-        assert!(
-            (discrete.power().watts() - continuous.power.watts()).abs()
-                < 0.01 * continuous.power.watts()
-        );
-    }
-
-    #[test]
-    fn current_table_interpolates_cell() {
-        let cell = SolarCell::kxob22(Irradiance::HALF_SUN);
-        let table = cell.iv_curve(501).to_current_table();
-        for v in [0.1, 0.4, 0.8, 1.1] {
-            let exact = cell.current_at(Volts::new(v)).amps();
-            let interp = table.eval(v);
-            assert!(
-                (exact - interp).abs() < 1e-4,
-                "at {v} V: exact {exact}, interp {interp}"
-            );
-        }
-    }
-
-    #[test]
-    fn power_table_peak_matches_argmax() {
-        let c = curve();
-        let table = c.to_power_table();
-        let (v_peak, p_peak) = table.argmax();
-        let pp = c.peak_power_point();
-        assert!((v_peak - pp.voltage.volts()).abs() < 1e-9);
-        assert!((p_peak - pp.power().watts()).abs() < 1e-12);
-    }
-
-    #[test]
     fn dark_cell_still_yields_a_valid_curve() {
         let c = SolarCell::kxob22(Irradiance::DARK).iv_curve(11);
-        assert_eq!(c.len(), 11);
+        assert_eq!(c.points().len(), 11);
         assert!(c.points().iter().all(|p| p.current == Amps::ZERO));
     }
 

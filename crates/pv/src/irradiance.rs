@@ -65,16 +65,6 @@ impl Irradiance {
     pub fn is_dark(self) -> bool {
         self.0 <= 0.0
     }
-
-    /// Scales this irradiance by `factor`, clamping into the valid range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is NaN.
-    pub fn scaled(self, factor: f64) -> Irradiance {
-        assert!(!factor.is_nan(), "irradiance scale factor must not be NaN");
-        Irradiance((self.0 * factor).clamp(0.0, 2.0))
-    }
 }
 
 impl fmt::Display for Irradiance {
@@ -106,14 +96,6 @@ mod tests {
         assert!(Irradiance::INDOOR > Irradiance::DARK);
         assert!(Irradiance::DARK.is_dark());
         assert!(!Irradiance::INDOOR.is_dark());
-    }
-
-    #[test]
-    fn scaling_clamps() {
-        let half = Irradiance::FULL_SUN.scaled(0.5);
-        assert_eq!(half, Irradiance::HALF_SUN);
-        assert_eq!(Irradiance::FULL_SUN.scaled(5.0).fraction(), 2.0);
-        assert_eq!(Irradiance::FULL_SUN.scaled(-1.0).fraction(), 0.0);
     }
 
     #[test]

@@ -36,7 +36,6 @@ mod error;
 mod irradiance;
 mod lut;
 mod model;
-mod panel;
 
 pub use cell::{Mpp, SolarCell};
 pub use curve::{IvCurve, IvPoint};
@@ -44,4 +43,3 @@ pub use error::PvError;
 pub use irradiance::Irradiance;
 pub use lut::{PvLut, DEFAULT_PV_KNOTS};
 pub use model::SolarCellModel;
-pub use panel::PvArray;

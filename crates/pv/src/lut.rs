@@ -1,5 +1,5 @@
-use crate::{Irradiance, Mpp, PvError, SolarCell};
-use hems_units::{Amps, MonotoneTable, Volts, Watts};
+use crate::{Mpp, PvError, SolarCell};
+use hems_units::{MonotoneTable, Volts, Watts};
 
 /// Default knot count for [`PvLut::build_default`]: dense enough that the
 /// monotone-cubic interpolant tracks the kxob22 knee to well under 0.1 %
@@ -7,32 +7,29 @@ use hems_units::{Amps, MonotoneTable, Volts, Watts};
 /// exact-model solves.
 pub const DEFAULT_PV_KNOTS: usize = 256;
 
-/// A precomputed lookup table over a solar cell's I-V and P-V curves.
+/// A precomputed lookup table over a solar cell's P-V curve.
 ///
 /// The single-diode model with a nonzero series resistance has no closed
 /// form: every [`SolarCell::current_at`] call runs a bisection with ~200
 /// exponential evaluations. Sweeps and grid solvers hammer that path —
 /// `optimal_joint_plan` alone evaluates the curve thousands of times per
 /// scenario. A `PvLut` front-loads the cost: it samples the exact model
-/// once at `knots` voltages across `[0, Voc]`, fits shape-preserving
-/// monotone-cubic tables to current and power, and answers every
-/// subsequent query with an O(log knots) interpolated lookup.
+/// once at `knots` voltages across `[0, Voc]`, fits a shape-preserving
+/// monotone-cubic table to power, and answers every subsequent query
+/// with an O(log knots) interpolated lookup.
 ///
 /// # Build and invalidation semantics
 ///
 /// A table is valid for exactly one `(model, irradiance)` pair — the pair
-/// it was built from. It holds its own [`SolarCell`] copy, so mutating the
-/// original cell cannot silently skew lookups. When the light level
-/// changes, build a fresh table with [`PvLut::at_irradiance`]; there is no
-/// in-place mutation by design (a half-updated table is worse than a slow
-/// one).
+/// it was built from. When the light level changes, build a fresh table;
+/// there is no in-place mutation by design (a half-updated table is worse
+/// than a slow one).
 ///
 /// # Accuracy contract
 ///
 /// Lookups agree with the exact model to ≤0.1 % *full-scale relative
 /// error*: `|lut − exact| ≤ 0.1 % × max(|exact|, 10⁻³ × scale)` where
-/// `scale` is the short-circuit current (for current lookups) or the MPP
-/// power (for power lookups). The floor keeps the contract meaningful at
+/// `scale` is the MPP power. The floor keeps the contract meaningful at
 /// the curve's zero crossings, where a pointwise relative error is
 /// ill-defined. The parity tests in this module enforce the contract
 /// across the full voltage window at several light levels.
@@ -52,12 +49,9 @@ pub const DEFAULT_PV_KNOTS: usize = 256;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PvLut {
-    cell: SolarCell,
     voc: Volts,
-    current: MonotoneTable,
     power: MonotoneTable,
     mpp: Mpp,
-    knots: usize,
 }
 
 impl PvLut {
@@ -89,17 +83,15 @@ impl PvLut {
             }));
         }
         // One exact-model sampling pass: the implicit solve is per-*current*
-        // evaluation, and the model's own identity P(V) = V·I(V) gives the
-        // power knots for free — halving the bisection count per build.
+        // evaluation, and the model's own identity P(V) = V·I(V) gives each
+        // power knot from it.
         let xs: Vec<f64> = (0..knots)
             .map(|i| voc.volts() * i as f64 / (knots - 1) as f64)
             .collect();
-        let amps: Vec<f64> = xs
+        let watts: Vec<f64> = xs
             .iter()
-            .map(|&v| cell.current_at(Volts::new(v)).amps())
+            .map(|&v| v * cell.current_at(Volts::new(v)).amps())
             .collect();
-        let watts: Vec<f64> = xs.iter().zip(&amps).map(|(&v, &i)| v * i).collect();
-        let current = MonotoneTable::new(xs.clone(), amps)?;
         let power = MonotoneTable::new(xs, watts)?;
         // The MPP is a single point computed once per build, so tabulating
         // it buys nothing: cache the *exact* model's answer. Solvers hang
@@ -137,36 +129,7 @@ impl PvLut {
             current: cell.current_at(voltage),
             power: cell.power_at(voltage),
         };
-        Ok(PvLut {
-            cell,
-            voc,
-            current,
-            power,
-            mpp,
-            knots,
-        })
-    }
-
-    /// Builds a fresh table for the same cell model at a new light level —
-    /// the invalidation path when irradiance changes.
-    ///
-    /// # Errors
-    ///
-    /// See [`PvLut::build`].
-    pub fn at_irradiance(&self, g: Irradiance) -> Result<PvLut, PvError> {
-        let mut cell = self.cell.clone();
-        cell.set_irradiance(g);
-        PvLut::build(cell, self.knots)
-    }
-
-    /// The cell snapshot this table was built from.
-    pub fn cell(&self) -> &SolarCell {
-        &self.cell
-    }
-
-    /// The light level this table is valid for.
-    pub fn irradiance(&self) -> Irradiance {
-        self.cell.irradiance()
+        Ok(PvLut { voc, power, mpp })
     }
 
     /// The open-circuit voltage of the tabulated curve (the top of the
@@ -175,22 +138,11 @@ impl PvLut {
         self.voc
     }
 
-    /// Number of knots per table.
-    pub fn knots(&self) -> usize {
-        self.knots
-    }
-
-    /// Interpolated terminal current at voltage `v`.
+    /// Interpolated terminal power at voltage `v`.
     ///
     /// Outside `[0, Voc]` the lookup clamps to the boundary knot — i.e.
-    /// `I(0) = Isc` below zero and `I(Voc) ≈ 0` above — matching how the
+    /// `P(0) = 0` below zero and `P(Voc) ≈ 0` above — matching how the
     /// solvers use the curve (they never operate past open circuit).
-    pub fn current_at(&self, v: Volts) -> Amps {
-        Amps::new(self.current.eval(v.volts()))
-    }
-
-    /// Interpolated terminal power at voltage `v` (clamped like
-    /// [`PvLut::current_at`]).
     pub fn power_at(&self, v: Volts) -> Watts {
         Watts::new(self.power.eval(v.volts()))
     }
@@ -200,26 +152,13 @@ impl PvLut {
         self.mpp
     }
 
-    /// Batch form of [`PvLut::current_at`]: interpolated terminal current
-    /// in amps for a slab of voltages in volts, one output per input.
+    /// Batch form of [`PvLut::power_at`]: interpolated terminal power in
+    /// watts for a slab of voltages in volts, one output per input.
     ///
     /// Sorted (ascending) voltage slabs take the gather-free monotone-cursor
     /// path through the knot array; every output is bit-identical to the
     /// scalar lookup either way. Clamping outside `[0, Voc]` matches
-    /// [`PvLut::current_at`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `volts.len() != amps_out.len()`.
-    pub fn current_at_many(&self, volts: &[f64], amps_out: &mut [f64]) {
-        self.current.eval_many(volts, amps_out);
-    }
-
-    /// Batch form of [`PvLut::power_at`]: interpolated terminal power in
-    /// watts for a slab of voltages in volts, one output per input.
-    ///
-    /// Same cursor fast path, clamping, and bit-parity contract as
-    /// [`PvLut::current_at_many`].
+    /// [`PvLut::power_at`].
     ///
     /// # Panics
     ///
@@ -239,23 +178,6 @@ mod tests {
     /// Full-scale relative error per the accuracy contract.
     fn rel(err: f64, exact: f64, scale: f64) -> f64 {
         err.abs() / exact.abs().max(1e-3 * scale)
-    }
-
-    #[test]
-    fn current_parity_within_0p1_percent_across_window() {
-        for g in LEVELS {
-            let cell = SolarCell::kxob22(Irradiance::new(g).unwrap());
-            let lut = PvLut::build_default(cell.clone()).unwrap();
-            let isc = cell.short_circuit_current().amps();
-            let voc = cell.open_circuit_voltage().volts();
-            for i in 0..=1000 {
-                let v = Volts::new(voc * i as f64 / 1000.0);
-                let exact = cell.current_at(v).amps();
-                let fast = lut.current_at(v).amps();
-                let e = rel(fast - exact, exact, isc);
-                assert!(e <= 1e-3, "g={g} v={v:?}: rel err {e:.2e}");
-            }
-        }
     }
 
     #[test]
@@ -304,23 +226,9 @@ mod tests {
     }
 
     #[test]
-    fn at_irradiance_rebuilds_for_new_light() {
-        let lut = PvLut::build_default(SolarCell::kxob22(Irradiance::FULL_SUN)).unwrap();
-        let dim = lut.at_irradiance(Irradiance::QUARTER_SUN).unwrap();
-        assert_eq!(dim.irradiance(), Irradiance::QUARTER_SUN);
-        assert_eq!(dim.knots(), lut.knots());
-        assert!(dim.mpp().power < lut.mpp().power);
-        // Original is untouched.
-        assert_eq!(lut.irradiance(), Irradiance::FULL_SUN);
-    }
-
-    #[test]
     fn lookups_clamp_outside_window() {
-        let cell = SolarCell::kxob22(Irradiance::FULL_SUN);
-        let lut = PvLut::build_default(cell.clone()).unwrap();
-        let isc = cell.short_circuit_current();
-        assert!((lut.current_at(Volts::new(-1.0)).amps() - isc.amps()).abs() < 1e-6);
-        assert!(lut.current_at(Volts::new(9.0)).amps().abs() < 1e-5);
+        let lut = PvLut::build_default(SolarCell::kxob22(Irradiance::FULL_SUN)).unwrap();
+        assert_eq!(lut.power_at(Volts::new(-1.0)).watts(), 0.0);
         assert!(lut.power_at(Volts::new(9.0)).watts().abs() < 1e-5);
     }
 
@@ -347,13 +255,12 @@ mod tests {
             let mut vs: Vec<f64> = (0..301).map(|_| -0.1 + next() * (voc + 0.3)).collect();
             vs.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let mut p = vec![0.0; vs.len()];
-            let mut i = vec![0.0; vs.len()];
             lut.power_at_many(&vs, &mut p);
-            lut.current_at_many(&vs, &mut i);
             for (k, &v) in vs.iter().enumerate() {
-                let v = Volts::new(v);
-                assert_eq!(p[k].to_bits(), lut.power_at(v).watts().to_bits());
-                assert_eq!(i[k].to_bits(), lut.current_at(v).amps().to_bits());
+                assert_eq!(
+                    p[k].to_bits(),
+                    lut.power_at(Volts::new(v)).watts().to_bits()
+                );
             }
         }
     }

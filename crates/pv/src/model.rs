@@ -172,57 +172,6 @@ impl SolarCellModel {
     pub fn power(&self, v: Volts, g: Irradiance) -> hems_units::Watts {
         v * self.current(v, g)
     }
-
-    /// Fits the knee (thermal) voltage so the full-sun MPP lands at
-    /// `v_mpp_target`, given datasheet `Isc` and `Voc`.
-    ///
-    /// This is the calibration step used to match a measured curve like the
-    /// paper's Fig. 2: pick `Vth` such that the model's maximum power point
-    /// sits where the instrument saw it. Solved by bisection on the
-    /// monotone map `Vth -> V_mpp` (softer knees pull the MPP lower).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PvError::BadParameter`] when the target is not strictly
-    /// inside `(0, Voc)`, and [`PvError::Solver`] when no knee in the
-    /// plausible range `[Voc/50, Voc/2]` reaches the target.
-    pub fn fit_knee(
-        i_sc_full: Amps,
-        v_oc_full: Volts,
-        v_mpp_target: Volts,
-    ) -> Result<SolarCellModel, PvError> {
-        if !v_mpp_target.is_positive() || v_mpp_target >= v_oc_full {
-            return Err(UnitsError::OutOfRange {
-                what: "target mpp voltage",
-                value: v_mpp_target.value(),
-                min: f64::MIN_POSITIVE,
-                max: v_oc_full.value(),
-            }
-            .into());
-        }
-        let v_mpp_of = |vth: f64| -> Result<f64, PvError> {
-            let model = SolarCellModel::new(i_sc_full, v_oc_full, Volts::new(vth), Ohms::ZERO)?;
-            let (v, _) = solve::maximize(
-                |v| model.power(Volts::new(v), Irradiance::FULL_SUN).watts(),
-                0.0,
-                v_oc_full.volts(),
-                128,
-            )?;
-            Ok(v)
-        };
-        let lo = v_oc_full.volts() / 50.0;
-        let hi = v_oc_full.volts() / 2.0;
-        let vth = solve::bisect(
-            |vth| match v_mpp_of(vth) {
-                Ok(v) => v - v_mpp_target.volts(),
-                Err(_) => f64::NAN,
-            },
-            lo,
-            hi,
-            1e-6,
-        )?;
-        SolarCellModel::new(i_sc_full, v_oc_full, Volts::new(vth), Ohms::ZERO)
-    }
 }
 
 #[cfg(test)]
@@ -350,38 +299,6 @@ mod tests {
             lossy.current(v, Irradiance::FULL_SUN).amps()
                 < lossless.current(v, Irradiance::FULL_SUN).amps()
         );
-    }
-
-    #[test]
-    fn fit_knee_recovers_the_reference_calibration() {
-        // Ask for the reference cell's own MPP voltage: the fit should
-        // come back with (approximately) the reference knee.
-        let reference = SolarCellModel::kxob22();
-        let cell = crate::SolarCell::new(reference.clone(), Irradiance::FULL_SUN);
-        let target = cell.mpp().unwrap().voltage;
-        let fitted =
-            SolarCellModel::fit_knee(Amps::from_milli(15.0), Volts::new(1.5), target).unwrap();
-        // The fit runs at Rs = 0 while the reference has 1 ohm of series
-        // resistance, so the recovered knee differs by a few millivolts.
-        assert!(
-            (fitted.v_thermal().volts() - 0.2).abs() < 0.02,
-            "fitted knee {}",
-            fitted.v_thermal()
-        );
-        let refit_mpp = crate::SolarCell::new(fitted, Irradiance::FULL_SUN)
-            .mpp()
-            .unwrap();
-        assert!((refit_mpp.voltage - target).abs() < Volts::from_milli(5.0));
-    }
-
-    #[test]
-    fn fit_knee_validates_targets() {
-        let isc = Amps::from_milli(15.0);
-        let voc = Volts::new(1.5);
-        assert!(SolarCellModel::fit_knee(isc, voc, Volts::ZERO).is_err());
-        assert!(SolarCellModel::fit_knee(isc, voc, Volts::new(1.5)).is_err());
-        // A target absurdly close to Voc needs an impossibly hard knee.
-        assert!(SolarCellModel::fit_knee(isc, voc, Volts::new(1.49)).is_err());
     }
 
     #[test]

@@ -42,7 +42,6 @@ mod any;
 mod buck;
 mod bypass;
 mod error;
-mod hybrid;
 mod ldo;
 mod surface;
 mod switched_cap;
@@ -51,9 +50,8 @@ pub use any::AnyRegulator;
 pub use buck::BuckRegulator;
 pub use bypass::Bypass;
 pub use error::RegulatorError;
-pub use hybrid::HybridRegulator;
 pub use ldo::Ldo;
-pub use surface::{EfficiencyGrid, EfficiencyPoint, EfficiencySweep};
+pub use surface::{EfficiencyPoint, EfficiencySweep};
 pub use switched_cap::{ScRatio, ScRegulator};
 
 use hems_units::{Efficiency, Volts, Watts};
@@ -69,8 +67,6 @@ pub enum RegulatorKind {
     Buck,
     /// Direct connection (regulator shorted out).
     Bypass,
-    /// A muxed bank of heterogeneous topologies.
-    Hybrid,
 }
 
 impl RegulatorKind {
@@ -81,7 +77,6 @@ impl RegulatorKind {
             RegulatorKind::SwitchedCapacitor => "SC",
             RegulatorKind::Buck => "buck",
             RegulatorKind::Bypass => "bypass",
-            RegulatorKind::Hybrid => "hybrid",
         }
     }
 }

@@ -1,5 +1,5 @@
 use crate::{Regulator, RegulatorError};
-use hems_units::{MonotoneTable, Volts, Watts};
+use hems_units::{Volts, Watts};
 
 /// One sample of a regulator's efficiency surface.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,7 +17,6 @@ pub struct EfficiencyPoint {
 /// exactly the curves plotted in the paper's Figs. 3, 4 and 5.
 #[derive(Debug, Clone)]
 pub struct EfficiencySweep {
-    v_in: Volts,
     points: Vec<EfficiencyPoint>,
 }
 
@@ -65,386 +64,12 @@ impl EfficiencySweep {
                 }
             })
             .collect();
-        Ok(EfficiencySweep { v_in, points })
-    }
-
-    /// The rail voltage of the sweep.
-    pub fn v_in(&self) -> Volts {
-        self.v_in
+        Ok(EfficiencySweep { points })
     }
 
     /// The sampled points in increasing output-voltage order.
     pub fn points(&self) -> &[EfficiencyPoint] {
         &self.points
-    }
-
-    /// The supported sample with the highest efficiency, if any point was
-    /// supported at all.
-    pub fn peak(&self) -> Option<EfficiencyPoint> {
-        self.points
-            .iter()
-            .filter(|p| p.efficiency.is_some())
-            .max_by(|a, b| {
-                a.efficiency
-                    .partial_cmp(&b.efficiency)
-                    .expect("filtered to Some, finite")
-            })
-            .copied()
-    }
-}
-
-/// One column of an [`EfficiencyGrid`]: the efficiency-vs-load samples at
-/// a single output voltage.
-#[derive(Debug, Clone)]
-struct GridColumn {
-    etas: Vec<Option<f64>>,
-    /// Monotone-cubic interpolant over `ln(p_out)`, present only when the
-    /// whole column is supported (a partially supported column falls back
-    /// to nearest-sample lookups so it can never interpolate across an
-    /// operating-range edge).
-    interp: Option<MonotoneTable>,
-}
-
-/// A precomputed efficiency grid over (output voltage × load power) for
-/// one regulator at one input rail.
-///
-/// Sweep and plotting workloads (Figs. 3–5, the scenario-sweep engine's
-/// regulator axis) evaluate `convert` at the same `(v_in, v_out, p_out)`
-/// lattice over and over. The grid front-loads those calls: it samples the
-/// exact regulator once per lattice point at build time and answers
-/// queries with lookups.
-///
-/// # Interpolation semantics — why the two axes differ
-///
-/// * **Load axis (`p_out`)** — efficiency is smooth in load for every
-///   regulator in this workspace, so queries between knots use a
-///   monotone-cubic interpolant over `ln(p_out)` (log spacing resolves
-///   the quiescent-dominated low-load roll-off). Parity with the exact
-///   model is ≤0.1 % of full scale on supported columns.
-/// * **Voltage axis (`v_out`)** — a switched-capacitor regulator's
-///   efficiency has *cliffs* at ratio boundaries; interpolating across
-///   one would invent efficiencies no hardware achieves. Queries
-///   therefore snap to the nearest sampled column. Choose `n_v` to match
-///   your sweep lattice and the lookup is exact in `v_out`.
-///
-/// # Build and invalidation semantics
-///
-/// A grid is valid for one `(regulator, v_in)` pair. Regulator models are
-/// immutable, so the only invalidation trigger is a different input rail:
-/// build one grid per rail of interest.
-#[derive(Debug, Clone)]
-pub struct EfficiencyGrid {
-    v_in: Volts,
-    v_outs: Vec<f64>,
-    p_outs: Vec<f64>,
-    columns: Vec<GridColumn>,
-}
-
-impl EfficiencyGrid {
-    /// Samples `regulator` on an `n_v × n_p` lattice: output voltages
-    /// evenly spaced on `[v_lo, v_hi]`, loads *log-spaced* on
-    /// `[p_lo, p_hi]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegulatorError::InvalidLoad`] when the load bounds are
-    /// non-positive, non-finite or inverted. Unsupported lattice points
-    /// are recorded as `None`, not errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_v < 2`, `n_p < 2` or the voltage interval is
-    /// inverted.
-    #[allow(clippy::too_many_arguments)] // a lattice spec is eight scalars
-    pub fn build(
-        regulator: &dyn Regulator,
-        v_in: Volts,
-        v_lo: Volts,
-        v_hi: Volts,
-        p_lo: Watts,
-        p_hi: Watts,
-        n_v: usize,
-        n_p: usize,
-    ) -> Result<EfficiencyGrid, RegulatorError> {
-        assert!(n_v >= 2 && n_p >= 2, "a grid needs at least 2x2 samples");
-        assert!(v_lo < v_hi, "voltage interval must be increasing");
-        if !(p_lo.value() > 0.0) || !(p_hi.value() > p_lo.value()) || !p_hi.value().is_finite() {
-            return Err(RegulatorError::InvalidLoad {
-                p_out: p_lo.value(),
-            });
-        }
-        let v_step = (v_hi - v_lo) / (n_v - 1) as f64;
-        let v_outs: Vec<f64> = (0..n_v)
-            .map(|i| (v_lo + v_step * i as f64).volts())
-            .collect();
-        let ln_lo = p_lo.value().ln();
-        let ln_step = (p_hi.value().ln() - ln_lo) / (n_p - 1) as f64;
-        let p_outs: Vec<f64> = (0..n_p)
-            .map(|j| (ln_lo + ln_step * j as f64).exp())
-            .collect();
-        let columns = v_outs
-            .iter()
-            .map(|&v_out| {
-                let etas: Vec<Option<f64>> = p_outs
-                    .iter()
-                    .map(|&p| {
-                        regulator
-                            .convert(v_in, Volts::new(v_out), Watts::new(p))
-                            .ok()
-                            .map(|c| c.efficiency.ratio())
-                    })
-                    .collect();
-                let ys: Vec<f64> = etas.iter().flatten().copied().collect();
-                let interp = if ys.len() == etas.len() {
-                    let ln_ps: Vec<f64> = p_outs.iter().map(|p| p.ln()).collect();
-                    MonotoneTable::new(ln_ps, ys).ok()
-                } else {
-                    None
-                };
-                GridColumn { etas, interp }
-            })
-            .collect();
-        Ok(EfficiencyGrid {
-            v_in,
-            v_outs,
-            p_outs,
-            columns,
-        })
-    }
-
-    /// The input rail this grid is valid for.
-    pub fn v_in(&self) -> Volts {
-        self.v_in
-    }
-
-    /// The sampled output voltages, increasing.
-    pub fn v_outs(&self) -> &[f64] {
-        &self.v_outs
-    }
-
-    /// The sampled (log-spaced) load powers, increasing.
-    pub fn p_outs(&self) -> &[f64] {
-        &self.p_outs
-    }
-
-    /// The exact stored sample at lattice indices `(i_v, j_p)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an index is out of bounds.
-    pub fn sample(&self, i_v: usize, j_p: usize) -> Option<f64> {
-        self.columns[i_v].etas[j_p]
-    }
-
-    /// Index of the sampled column nearest to `v_out`.
-    pub fn nearest_column(&self, v_out: Volts) -> usize {
-        let v = v_out.volts();
-        let hi = self.v_outs.partition_point(|&k| k < v);
-        if hi == 0 {
-            return 0;
-        }
-        if hi == self.v_outs.len() {
-            return hi - 1;
-        }
-        if (v - self.v_outs[hi - 1]).abs() <= (self.v_outs[hi] - v).abs() {
-            hi - 1
-        } else {
-            hi
-        }
-    }
-
-    /// Efficiency lookup: `v_out` snaps to the nearest column; `p_out`
-    /// interpolates along the column (clamped to the load bounds).
-    ///
-    /// Returns `None` where the regulator cannot operate — on a partially
-    /// supported column the nearest load sample decides.
-    pub fn efficiency(&self, v_out: Volts, p_out: Watts) -> Option<f64> {
-        let col = &self.columns[self.nearest_column(v_out)];
-        let p = p_out.value().max(f64::MIN_POSITIVE);
-        match &col.interp {
-            Some(table) => Some(table.eval(p.ln())),
-            None => {
-                // Nearest load sample in ln space (the lattice spacing).
-                let ln_p = p.ln();
-                let j = (0..self.p_outs.len())
-                    .min_by(|&a, &b| {
-                        let da = (self.p_outs[a].ln() - ln_p).abs();
-                        let db = (self.p_outs[b].ln() - ln_p).abs();
-                        da.total_cmp(&db)
-                    })
-                    .unwrap_or(0);
-                col.etas[j]
-            }
-        }
-    }
-
-    /// The best supported sample on the grid, as an [`EfficiencyPoint`].
-    pub fn peak(&self) -> Option<EfficiencyPoint> {
-        let mut best: Option<EfficiencyPoint> = None;
-        for (i, col) in self.columns.iter().enumerate() {
-            for (j, eta) in col.etas.iter().enumerate() {
-                if let Some(e) = *eta {
-                    if best.is_none_or(|b| e > b.efficiency.expect("set below")) {
-                        best = Some(EfficiencyPoint {
-                            v_out: Volts::new(self.v_outs[i]),
-                            p_out: Watts::new(self.p_outs[j]),
-                            efficiency: Some(e),
-                        });
-                    }
-                }
-            }
-        }
-        best
-    }
-}
-
-#[cfg(test)]
-mod grid_tests {
-    use super::*;
-    use crate::{BuckRegulator, Ldo, ScRegulator};
-
-    #[test]
-    fn ldo_grid_matches_exact_model_on_columns() {
-        let ldo = Ldo::paper_65nm();
-        let grid = EfficiencyGrid::build(
-            &ldo,
-            Volts::new(1.2),
-            Volts::new(0.2),
-            Volts::new(1.0),
-            Watts::from_micro(10.0),
-            Watts::from_milli(20.0),
-            33,
-            48,
-        )
-        .unwrap();
-        // Dense load sweep at each sampled column: ≤0.1 % parity.
-        for (i, &v) in grid.v_outs().iter().enumerate() {
-            let _ = i;
-            for k in 0..=200 {
-                let p = 10.0e-6 * (2000.0f64).powf(k as f64 / 200.0);
-                let exact = ldo
-                    .convert(Volts::new(1.2), Volts::new(v), Watts::new(p))
-                    .unwrap()
-                    .efficiency
-                    .ratio();
-                let fast = grid.efficiency(Volts::new(v), Watts::new(p)).unwrap();
-                assert!(
-                    (fast - exact).abs() <= 1e-3,
-                    "v={v} p={p}: {fast} vs {exact}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sc_grid_never_bridges_ratio_cliffs() {
-        let sc = ScRegulator::paper_65nm();
-        let grid = EfficiencyGrid::build(
-            &sc,
-            Volts::new(1.2),
-            Volts::new(0.2),
-            Volts::new(1.0),
-            Watts::from_milli(1.0),
-            Watts::from_milli(10.0),
-            81,
-            16,
-        )
-        .unwrap();
-        // Every lookup at a sampled column equals the exact model there —
-        // no smearing across the ratio boundaries.
-        for &v in grid.v_outs() {
-            let p = Watts::from_milli(5.0);
-            let exact = sc
-                .convert(Volts::new(1.2), Volts::new(v), p)
-                .ok()
-                .map(|c| c.efficiency.ratio());
-            let fast = grid.efficiency(Volts::new(v), p);
-            match (exact, fast) {
-                (None, None) => {}
-                (Some(e), Some(f)) => assert!((f - e).abs() <= 1e-3, "v={v}"),
-                other => panic!("support mismatch at {v}: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn off_column_queries_snap_to_nearest() {
-        let ldo = Ldo::paper_65nm();
-        let grid = EfficiencyGrid::build(
-            &ldo,
-            Volts::new(1.2),
-            Volts::new(0.2),
-            Volts::new(1.0),
-            Watts::from_milli(1.0),
-            Watts::from_milli(10.0),
-            5,
-            8,
-        )
-        .unwrap();
-        // Columns at 0.2, 0.4, 0.6, 0.8, 1.0.
-        assert_eq!(grid.nearest_column(Volts::new(0.29)), 0);
-        assert_eq!(grid.nearest_column(Volts::new(0.31)), 1);
-        assert_eq!(grid.nearest_column(Volts::new(-1.0)), 0);
-        assert_eq!(grid.nearest_column(Volts::new(2.0)), 4);
-        let snapped = grid.efficiency(Volts::new(0.61), Watts::from_milli(5.0));
-        let on_col = grid.efficiency(Volts::new(0.6), Watts::from_milli(5.0));
-        assert_eq!(snapped, on_col);
-    }
-
-    #[test]
-    fn buck_grid_reports_unsupported_region() {
-        let grid = EfficiencyGrid::build(
-            &BuckRegulator::paper_65nm(),
-            Volts::new(1.2),
-            Volts::new(0.1),
-            Volts::new(1.0),
-            Watts::from_milli(1.0),
-            Watts::from_milli(10.0),
-            19,
-            8,
-        )
-        .unwrap();
-        assert!(grid
-            .efficiency(Volts::new(0.1), Watts::from_milli(5.0))
-            .is_none());
-        assert!(grid
-            .efficiency(Volts::new(0.5), Watts::from_milli(5.0))
-            .is_some());
-        let peak = grid.peak().unwrap();
-        assert!(peak.efficiency.unwrap() > 0.5);
-    }
-
-    #[test]
-    fn rejects_bad_load_bounds() {
-        let ldo = Ldo::paper_65nm();
-        for (lo, hi) in [(0.0, 1.0), (1.0, 0.5), (1.0, f64::INFINITY)] {
-            assert!(EfficiencyGrid::build(
-                &ldo,
-                Volts::new(1.2),
-                Volts::new(0.2),
-                Volts::new(1.0),
-                Watts::new(lo),
-                Watts::new(hi),
-                4,
-                4,
-            )
-            .is_err());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2x2")]
-    fn rejects_degenerate_lattice() {
-        let _ = EfficiencyGrid::build(
-            &Ldo::paper_65nm(),
-            Volts::new(1.2),
-            Volts::new(0.2),
-            Volts::new(1.0),
-            Watts::from_milli(1.0),
-            Watts::from_milli(10.0),
-            1,
-            4,
-        );
     }
 }
 
@@ -464,7 +89,6 @@ mod tests {
             10,
         )
         .unwrap();
-        assert_eq!(sweep.v_in(), Volts::new(1.2));
         let etas: Vec<f64> = sweep.points().iter().filter_map(|p| p.efficiency).collect();
         assert_eq!(etas.len(), 10);
         assert!(etas.windows(2).all(|w| w[1] > w[0]));
@@ -508,7 +132,12 @@ mod tests {
             161,
         )
         .unwrap();
-        let peak = sweep.peak().unwrap();
+        let peak = sweep
+            .points()
+            .iter()
+            .filter(|p| p.efficiency.is_some())
+            .max_by(|a, b| a.efficiency.partial_cmp(&b.efficiency).unwrap())
+            .unwrap();
         // Best intrinsic efficiency just below an ideal ratio output
         // (0.6, 0.8, 0.9 or 0.96 V from 1.2 V).
         let v = peak.v_out.volts();

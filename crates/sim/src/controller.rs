@@ -156,20 +156,6 @@ impl Controller for FixedVoltageController {
     }
 }
 
-/// Never runs the processor — used to measure pure charging behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SleepController;
-
-impl Controller for SleepController {
-    fn decide(&mut self, _view: &SystemView<'_>) -> ControlDecision {
-        ControlDecision::sleep()
-    }
-
-    fn name(&self) -> &'static str {
-        "sleep"
-    }
-}
-
 /// Classic hysteretic duty cycling — the Hibernus-style baseline the
 /// paper's Section I cites ("adapting sleep duty cycles to energy
 /// availability"): sleep until the node charges to `v_run`, execute at a
@@ -210,11 +196,6 @@ impl DutyCycleController {
     /// run at 0.55 V until the node sags to 0.7 V.
     pub fn paper_default() -> DutyCycleController {
         DutyCycleController::new(Volts::new(1.1), Volts::new(0.7), Volts::new(0.55))
-    }
-
-    /// `true` while in the run phase.
-    pub fn is_running(&self) -> bool {
-        self.running
     }
 }
 
@@ -422,7 +403,6 @@ mod tests {
             FixedVoltageController::new(Volts::new(0.5)).name(),
             "fixed-voltage"
         );
-        assert_eq!(SleepController.name(), "sleep");
         assert_eq!(DutyCycleController::paper_default().name(), "duty-cycle");
     }
 
@@ -435,7 +415,6 @@ mod tests {
         let light = LightProfile::constant(Irradiance::HALF_SUN);
         let mut sim = Simulation::new(config, light, Volts::new(0.8)).unwrap();
         let mut ctl = DutyCycleController::paper_default();
-        assert!(!ctl.is_running());
         let summary = sim.run(&mut ctl, Seconds::from_milli(500.0));
         // Half sun cannot sustain full speed at 0.55 V, so the node cycles:
         // both run and sleep phases occur, with no brownouts (it halts at

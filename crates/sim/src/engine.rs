@@ -280,13 +280,6 @@ impl Simulation {
         &self.config
     }
 
-    /// Annotates the event log (controllers use this through summaries;
-    /// harnesses use it to mark phases).
-    pub fn annotate(&mut self, text: impl Into<String>) {
-        self.events
-            .push(self.now, EventKind::Note { text: text.into() });
-    }
-
     /// Installs the CPU table for the step hot path: it replaces the
     /// closed-form frequency/power evaluation inside [`resolve`]. Results
     /// then carry the LUT-parity contract (≤ 0.1 % on device quantities)
@@ -501,25 +494,6 @@ impl Simulation {
         self.summary()
     }
 
-    /// Runs until `predicate` holds (checked after every step) or `limit`
-    /// elapses, whichever comes first. Returns the summary and whether the
-    /// predicate was satisfied.
-    pub fn run_until(
-        &mut self,
-        controller: &mut dyn Controller,
-        limit: Seconds,
-        mut predicate: impl FnMut(&Simulation) -> bool,
-    ) -> (SimulationSummary, bool) {
-        let deadline = self.now + limit;
-        while self.now < deadline {
-            self.step(controller);
-            if predicate(self) {
-                return (self.summary(), true);
-            }
-        }
-        (self.summary(), false)
-    }
-
     /// The summary of everything simulated so far.
     pub fn summary(&self) -> SimulationSummary {
         SimulationSummary {
@@ -641,7 +615,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FixedVoltageController, SleepController};
+    use crate::{FixedVoltageController, SystemView};
     use hems_pv::Irradiance;
 
     fn sim_at(v0: f64) -> Simulation {
@@ -652,9 +626,15 @@ mod tests {
 
     #[test]
     fn sleeping_system_charges_to_voc() {
+        /// Never runs the processor: pure charging.
+        struct Asleep;
+        impl Controller for Asleep {
+            fn decide(&mut self, _view: &SystemView<'_>) -> ControlDecision {
+                ControlDecision::sleep()
+            }
+        }
         let mut sim = sim_at(0.2);
-        let mut ctl = SleepController;
-        sim.run(&mut ctl, Seconds::from_milli(200.0));
+        sim.run(&mut Asleep, Seconds::from_milli(200.0));
         // With no load the node floats to the open-circuit voltage.
         let voc = SolarCell::kxob22(Irradiance::FULL_SUN).open_circuit_voltage();
         assert!(
@@ -784,23 +764,6 @@ mod tests {
             coarse,
             fine
         );
-    }
-
-    #[test]
-    fn run_until_stops_at_the_predicate() {
-        let mut sim = sim_at(1.1);
-        sim.enqueue(Job::new(Cycles::new(1.0e6)));
-        let mut ctl = FixedVoltageController::new(Volts::new(0.55));
-        let (summary, hit) = sim.run_until(&mut ctl, Seconds::from_milli(100.0), |s| {
-            s.jobs().completed() >= 1
-        });
-        assert!(hit);
-        assert_eq!(summary.completed_jobs, 1);
-        // ~1 Mcycle at ~136 MHz completes in well under 10 ms.
-        assert!(sim.now() < Seconds::from_milli(10.0), "took {}", sim.now());
-        // An unreachable predicate runs out the limit.
-        let (_, hit) = sim.run_until(&mut ctl, Seconds::from_milli(5.0), |_| false);
-        assert!(!hit);
     }
 
     #[test]

@@ -18,11 +18,6 @@ pub enum EventKind {
         /// Index of the completed job.
         index: usize,
     },
-    /// The controller annotated the trace (e.g. "sprint started").
-    Note {
-        /// Free-form annotation.
-        text: String,
-    },
 }
 
 impl fmt::Display for EventKind {
@@ -33,7 +28,6 @@ impl fmt::Display for EventKind {
             EventKind::BypassEngaged => write!(f, "bypass engaged"),
             EventKind::BypassDisengaged => write!(f, "bypass disengaged"),
             EventKind::JobCompleted { index } => write!(f, "job {index} completed"),
-            EventKind::Note { text } => write!(f, "note: {text}"),
         }
     }
 }
@@ -87,11 +81,6 @@ impl EventLog {
         self.events.iter().filter(move |e| pred(&e.kind))
     }
 
-    /// The first event of a given discriminant-matching predicate.
-    pub fn first_where(&self, mut pred: impl FnMut(&EventKind) -> bool) -> Option<&Event> {
-        self.events.iter().find(|e| pred(&e.kind))
-    }
-
     /// Count of brownout events.
     pub fn brownouts(&self) -> usize {
         self.filter(|k| matches!(k, EventKind::Brownout)).count()
@@ -125,7 +114,7 @@ mod tests {
     }
 
     #[test]
-    fn filter_and_first_where() {
+    fn filter_selects_by_kind() {
         let mut log = EventLog::new();
         log.push(Seconds::ZERO, EventKind::BypassEngaged);
         log.push(Seconds::from_milli(5.0), EventKind::BypassDisengaged);
@@ -134,10 +123,6 @@ mod tests {
             .filter(|k| matches!(k, EventKind::BypassEngaged))
             .collect();
         assert_eq!(engaged.len(), 2);
-        let first = log
-            .first_where(|k| matches!(k, EventKind::BypassDisengaged))
-            .unwrap();
-        assert!((first.at.to_milli() - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -146,13 +131,6 @@ mod tests {
         assert_eq!(
             EventKind::JobCompleted { index: 7 }.to_string(),
             "job 7 completed"
-        );
-        assert_eq!(
-            EventKind::Note {
-                text: "sprint".into()
-            }
-            .to_string(),
-            "note: sprint"
         );
     }
 }

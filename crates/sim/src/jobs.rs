@@ -54,11 +54,6 @@ impl JobQueue {
         self.jobs.get(self.current)
     }
 
-    /// Cycles already executed of the current job.
-    pub fn current_progress(&self) -> Cycles {
-        self.progress
-    }
-
     /// Cycles still needed to finish the current job, if any.
     pub fn current_remaining(&self) -> Option<Cycles> {
         self.current()
@@ -209,6 +204,6 @@ mod tests {
         let mut q = JobQueue::new();
         q.push(Job::new(Cycles::new(10.0)));
         assert!(q.advance(Cycles::ZERO, Seconds::ZERO).is_empty());
-        assert_eq!(q.current_progress().count(), 0.0);
+        assert_eq!(q.current_remaining(), Some(Cycles::new(10.0)));
     }
 }

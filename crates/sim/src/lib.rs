@@ -50,7 +50,7 @@ mod trace;
 
 pub use controller::{
     ControlDecision, Controller, DutyCycleController, FixedVoltageController, MpptDvfsController,
-    OcSampling, PowerPath, SleepController, SystemView,
+    OcSampling, PowerPath, SystemView,
 };
 pub use engine::{DvfsTransition, Simulation, SimulationSummary, SystemConfig};
 pub use error::SimError;

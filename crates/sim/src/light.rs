@@ -5,7 +5,7 @@ use hems_units::{Seconds, XorShiftRng};
 ///
 /// Profiles cover the paper's evaluation conditions: constant light levels
 /// (Figs. 2–7), the sudden dimming step of Figs. 8 and 11b, plus richer
-/// traces (ramps, a diurnal arc, seeded random clouds) for the examples and
+/// traces (a diurnal arc, seeded random clouds) for the examples and
 /// robustness tests.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LightProfile {
@@ -22,17 +22,6 @@ pub enum LightProfile {
         after: Irradiance,
         /// When the step occurs.
         at: Seconds,
-    },
-    /// Linear ramp between two levels over a window, constant outside it.
-    Ramp {
-        /// Level before the ramp starts.
-        from: Irradiance,
-        /// Level after the ramp ends.
-        to: Irradiance,
-        /// Ramp start time.
-        start: Seconds,
-        /// Ramp end time.
-        end: Seconds,
     },
     /// A half-sine diurnal arc: dark at `t=0` and `t=day_length`, peaking
     /// in the middle.
@@ -77,21 +66,6 @@ impl LightProfile {
     /// A dimming (or brightening) step at `at`.
     pub fn step(before: Irradiance, after: Irradiance, at: Seconds) -> LightProfile {
         LightProfile::Step { before, after, at }
-    }
-
-    /// A linear ramp from `from` to `to` over `[start, end]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `end <= start`.
-    pub fn ramp(from: Irradiance, to: Irradiance, start: Seconds, end: Seconds) -> LightProfile {
-        assert!(end > start, "ramp needs end > start");
-        LightProfile::Ramp {
-            from,
-            to,
-            start,
-            end,
-        }
     }
 
     /// A half-sine daylight arc peaking at `peak`.
@@ -179,22 +153,6 @@ impl LightProfile {
                     *before
                 } else {
                     *after
-                }
-            }
-            LightProfile::Ramp {
-                from,
-                to,
-                start,
-                end,
-            } => {
-                if t <= *start {
-                    *from
-                } else if t >= *end {
-                    *to
-                } else {
-                    let frac = (t - *start) / (*end - *start);
-                    Irradiance::new(from.fraction() + (to.fraction() - from.fraction()) * frac)
-                        .unwrap_or(*to)
                 }
             }
             LightProfile::Diurnal { peak, day_length } => {
@@ -285,19 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn ramp_interpolates_linearly() {
-        let p = LightProfile::ramp(
-            Irradiance::DARK,
-            Irradiance::FULL_SUN,
-            Seconds::new(1.0),
-            Seconds::new(3.0),
-        );
-        assert_eq!(p.at(Seconds::ZERO), Irradiance::DARK);
-        assert!((p.at(Seconds::new(2.0)).fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(p.at(Seconds::new(5.0)), Irradiance::FULL_SUN);
-    }
-
-    #[test]
     fn diurnal_peaks_at_noon_and_is_dark_at_edges() {
         let p = LightProfile::diurnal(Irradiance::FULL_SUN, Seconds::new(100.0));
         assert!(p.at(Seconds::ZERO).fraction() < 1e-9);
@@ -373,15 +318,10 @@ mod tests {
 
     #[test]
     fn outages_compose_with_a_dynamic_base_profile() {
-        let base = LightProfile::ramp(
-            Irradiance::DARK,
-            Irradiance::FULL_SUN,
-            Seconds::ZERO,
-            Seconds::new(1.0),
-        );
+        let base = LightProfile::diurnal(Irradiance::FULL_SUN, Seconds::new(1.0));
         let faulted =
             LightProfile::with_outages(base.clone(), vec![(Seconds::new(0.4), Seconds::new(0.5))]);
-        // Outside the window the ramp is untouched.
+        // Outside the window the arc is untouched.
         assert_eq!(faulted.at(Seconds::new(0.2)), base.at(Seconds::new(0.2)));
         assert_eq!(faulted.at(Seconds::new(0.8)), base.at(Seconds::new(0.8)));
         // Inside it the light is dark no matter what the base says.
@@ -454,17 +394,6 @@ mod tests {
         let _ = LightProfile::with_outages(
             LightProfile::constant(Irradiance::FULL_SUN),
             vec![(Seconds::new(1.0), Seconds::new(1.0))],
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "end > start")]
-    fn ramp_validates_window() {
-        let _ = LightProfile::ramp(
-            Irradiance::DARK,
-            Irradiance::FULL_SUN,
-            Seconds::new(3.0),
-            Seconds::new(1.0),
         );
     }
 }

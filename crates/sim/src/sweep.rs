@@ -299,11 +299,6 @@ impl ExpandedGrid {
     pub fn is_empty(&self) -> bool {
         self.scenarios.is_empty()
     }
-
-    /// Consumes the handle, yielding the owned scenario list.
-    pub fn into_scenarios(self) -> Vec<Scenario> {
-        self.scenarios
-    }
 }
 
 /// One expanded grid point: everything a worker needs, owned.
@@ -888,7 +883,6 @@ mod tests {
             assert_eq!(a.label, b.label);
             assert_eq!(a.config, b.config);
         }
-        assert_eq!(once.into_scenarios().len(), per_call.len());
     }
 
     #[test]

@@ -77,23 +77,6 @@ impl WaveformRecorder {
         self.samples.is_empty()
     }
 
-    /// The recorded sample nearest to time `t`, if any were recorded.
-    pub fn nearest(&self, t: Seconds) -> Option<&Sample> {
-        self.samples.iter().min_by(|a, b| {
-            let da = (a.t - t).abs().seconds();
-            let db = (b.t - t).abs().seconds();
-            da.total_cmp(&db)
-        })
-    }
-
-    /// Minimum solar-node voltage over the trace, if any samples exist.
-    pub fn min_v_solar(&self) -> Option<Volts> {
-        self.samples
-            .iter()
-            .map(|s| s.v_solar)
-            .min_by(|a, b| a.partial_cmp(b).expect("finite"))
-    }
-
     /// Writes the trace as CSV (header + one row per sample) for plotting
     /// with external tools. Note that a mutable reference to a writer can
     /// be passed for `w`.
@@ -159,26 +142,6 @@ mod tests {
         }
         assert_eq!(r.len(), 5);
         assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn nearest_finds_closest_sample() {
-        let mut r = WaveformRecorder::full();
-        for i in 0..5 {
-            r.offer(sample(i as f64, 1.0 + i as f64 * 0.1));
-        }
-        let s = r.nearest(Seconds::from_milli(2.4)).unwrap();
-        assert!((s.t.to_milli() - 2.0).abs() < 1e-12);
-        assert!(WaveformRecorder::full().nearest(Seconds::ZERO).is_none());
-    }
-
-    #[test]
-    fn min_v_solar_scans_trace() {
-        let mut r = WaveformRecorder::full();
-        for (i, v) in [1.2, 0.9, 1.05, 0.85, 1.1].iter().enumerate() {
-            r.offer(sample(i as f64, *v));
-        }
-        assert_eq!(r.min_v_solar(), Some(Volts::new(0.85)));
     }
 
     #[test]

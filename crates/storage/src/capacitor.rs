@@ -1,11 +1,10 @@
 use crate::StorageError;
-use hems_units::{Amps, Farads, Joules, Seconds, UnitsError, Volts, Watts};
+use hems_units::{Farads, Seconds, UnitsError, Volts, Watts};
 
 /// The storage capacitor that replaces the battery (paper Section II).
 ///
 /// State is just the node voltage; the simulator advances it explicitly with
-/// [`Capacitor::step`] (net current) or [`Capacitor::step_power`] (net
-/// power, the form eq. 6 uses). Voltage clamps at zero (fully drained) and
+/// [`Capacitor::step_power`] (net power, the form eq. 6 uses). Voltage clamps at zero (fully drained) and
 /// at the rated maximum (the harvesting front-end's clamp).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Capacitor {
@@ -106,11 +105,6 @@ impl Capacitor {
         self.voltage
     }
 
-    /// Stored energy `½CV²`.
-    pub fn energy(&self) -> Joules {
-        self.capacitance.stored_energy(self.voltage)
-    }
-
     /// Sets the node voltage directly (initial conditions, test setup).
     ///
     /// # Errors
@@ -137,23 +131,12 @@ impl Capacitor {
         Ok(())
     }
 
-    /// Advances the node by `dt` under a constant net current
-    /// (`> 0` charging): `V += I·dt / C`, clamped to `[0, rating]`.
-    ///
-    /// Returns the new voltage.
-    pub fn step(&mut self, net_current: Amps, dt: Seconds) -> Volts {
-        let dq = net_current * dt;
-        let dv = dq / self.capacitance;
-        self.voltage = (self.voltage + dv).clamp(Volts::ZERO, self.v_rating);
-        self.voltage
-    }
-
     /// Advances the node by `dt` under a constant net *power*
     /// (`> 0` charging), integrating `½C dV²/dt = P` exactly:
     /// `V' = sqrt(V² + 2·P·dt/C)`, clamped to `[0, rating]`.
     ///
     /// This is the integral form behind the paper's eq. 6, and is exact for
-    /// constant-power loads where [`Capacitor::step`] would need tiny steps.
+    /// constant-power loads at any step size.
     ///
     /// Returns the new voltage.
     pub fn step_power(&mut self, net_power: Watts, dt: Seconds) -> Volts {
@@ -211,45 +194,23 @@ mod tests {
     }
 
     #[test]
-    fn energy_is_half_cv_squared() {
-        let c = cap_at(1.2);
-        assert!((c.energy().to_micro() - 72.0).abs() < 1e-9);
-        assert_eq!(Capacitor::paper_board().energy(), Joules::ZERO);
-    }
-
-    #[test]
-    fn constant_current_step_is_linear() {
-        let mut c = cap_at(1.0);
-        c.step(Amps::from_milli(-1.0), Seconds::from_milli(10.0));
-        assert!((c.voltage().volts() - 0.9).abs() < 1e-12);
-        c.step(Amps::from_milli(2.0), Seconds::from_milli(10.0));
-        assert!((c.voltage().volts() - 1.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn step_clamps_at_rails() {
-        let mut c = cap_at(0.05);
-        c.step(Amps::new(-1.0), Seconds::new(1.0));
-        assert_eq!(c.voltage(), Volts::ZERO);
-        c.step(Amps::new(10.0), Seconds::new(10.0));
-        assert_eq!(c.voltage(), Volts::new(1.6));
-    }
-
-    #[test]
     fn power_step_conserves_energy_exactly() {
+        let energy = |c: &Capacitor| c.capacitance().stored_energy(c.voltage());
         let mut c = cap_at(1.0);
-        let e0 = c.energy();
+        let e0 = energy(&c);
         c.step_power(Watts::from_milli(-5.0), Seconds::from_milli(4.0));
-        let e1 = c.energy();
+        let e1 = energy(&c);
         // ΔE = P·t = 20 µJ discharge.
         assert!(((e0 - e1).to_micro() - 20.0).abs() < 1e-9);
     }
 
     #[test]
-    fn power_step_clamps_at_zero() {
+    fn power_step_clamps_at_the_rails() {
         let mut c = cap_at(0.1);
         c.step_power(Watts::new(-1.0), Seconds::new(1.0));
         assert_eq!(c.voltage(), Volts::ZERO);
+        c.step_power(Watts::new(10.0), Seconds::new(10.0));
+        assert_eq!(c.voltage(), c.v_rating());
     }
 
     #[test]
@@ -307,34 +268,10 @@ mod tests {
     #[cfg(feature = "proptest")]
     proptest! {
         #[test]
-        fn many_small_steps_match_one_power_step(
-            v0 in 0.3f64..1.4,
-            p_mw in -8.0f64..8.0,
-        ) {
-            prop_assume!(p_mw.abs() > 0.01);
-            let dt_total = 5e-3;
-            let mut fine = cap_at(v0);
-            let mut coarse = cap_at(v0);
-            coarse.step_power(Watts::from_milli(p_mw), Seconds::new(dt_total));
-            let n = 5000;
-            for _ in 0..n {
-                // Convert the constant power into the instantaneous current
-                // at the present voltage, as the simulator does.
-                let v = fine.voltage().volts().max(1e-6);
-                let i = Amps::new(p_mw * 1e-3 / v);
-                fine.step(i, Seconds::new(dt_total / n as f64));
-            }
-            prop_assert!(
-                (fine.voltage().volts() - coarse.voltage().volts()).abs() < 2e-3,
-                "fine {} vs coarse {}", fine.voltage(), coarse.voltage()
-            );
-        }
-
-        #[test]
-        fn voltage_always_in_bounds(v0 in 0.0f64..1.6, i_ma in -50.0f64..50.0) {
+        fn voltage_always_in_bounds(v0 in 0.0f64..1.6, p_mw in -50.0f64..50.0) {
             let mut c = cap_at(v0);
             for _ in 0..100 {
-                c.step(Amps::from_milli(i_ma), Seconds::from_micro(100.0));
+                c.step_power(Watts::from_milli(p_mw), Seconds::from_micro(100.0));
                 prop_assert!(c.voltage() >= Volts::ZERO);
                 prop_assert!(c.voltage() <= c.v_rating());
             }

@@ -105,11 +105,6 @@ impl Comparator {
         self.above = Some(new_side);
         edge
     }
-
-    /// Resets the comparator to its power-on (unknown) state.
-    pub fn reset(&mut self) {
-        self.above = None;
-    }
 }
 
 /// The board's bank of monitoring comparators (paper Fig. 8: thresholds
@@ -189,13 +184,6 @@ impl ComparatorBank {
             })
             .collect()
     }
-
-    /// Resets every comparator.
-    pub fn reset(&mut self) {
-        for c in &mut self.comparators {
-            c.reset();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -229,16 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_forgets_state() {
-        let mut c = Comparator::new(Volts::new(1.0), Volts::ZERO).unwrap();
-        c.update(Volts::new(1.2));
-        c.reset();
-        // After reset the next sample initializes silently even though it is
-        // on the other side.
-        assert_eq!(c.update(Volts::new(0.5)), None);
-    }
-
-    #[test]
     fn bank_validates_ordering() {
         assert!(ComparatorBank::new(&[], Volts::ZERO).is_err());
         assert!(ComparatorBank::new(&[Volts::new(0.9), Volts::new(1.0)], Volts::ZERO).is_err());
@@ -263,15 +241,6 @@ mod tests {
         assert!(crossings
             .iter()
             .all(|c| (c.at.to_milli() - 3.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn bank_reset_reinitializes() {
-        let mut bank = ComparatorBank::paper_board();
-        bank.update(Volts::new(1.2), Seconds::ZERO);
-        bank.reset();
-        let crossings = bank.update(Volts::new(0.5), Seconds::ZERO);
-        assert!(crossings.is_empty());
     }
 
     #[test]

@@ -59,30 +59,6 @@ impl LinearTable {
         Ok(LinearTable { xs, ys })
     }
 
-    /// Builds a table by sampling `f` at `n` evenly spaced points on
-    /// `[lo, hi]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnitsError::BadTable`] when `n < 2`, the interval is
-    /// degenerate, or `f` returns a non-finite value.
-    pub fn from_fn(
-        lo: f64,
-        hi: f64,
-        n: usize,
-        mut f: impl FnMut(f64) -> f64,
-    ) -> Result<Self, UnitsError> {
-        if n < 2 || !(lo < hi) || !lo.is_finite() || !hi.is_finite() {
-            return Err(UnitsError::BadTable {
-                reason: "sampling requires n >= 2 and a finite lo < hi",
-            });
-        }
-        let step = (hi - lo) / (n - 1) as f64;
-        let xs: Vec<f64> = (0..n).map(|i| lo + step * i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| f(x)).collect();
-        Self::new(xs, ys)
-    }
-
     /// Evaluates the table at `x`, clamping to the first/last knot outside
     /// the knot range.
     pub fn eval(&self, x: f64) -> f64 {
@@ -118,43 +94,6 @@ impl LinearTable {
     /// Iterates over `(x, y)` knot pairs.
     pub fn knots(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         self.xs.iter().copied().zip(self.ys.iter().copied())
-    }
-
-    /// Returns the knot x at which the tabulated y is largest.
-    ///
-    /// Ties resolve to the smallest such x.
-    pub fn argmax(&self) -> (f64, f64) {
-        let mut best = 0;
-        for i in 1..self.ys.len() {
-            if self.ys[i] > self.ys[best] {
-                best = i;
-            }
-        }
-        (self.xs[best], self.ys[best])
-    }
-
-    /// Builds the inverse table `y -> x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnitsError::BadTable`] unless `y` is strictly monotonic
-    /// (either direction) over the knots.
-    pub fn inverse(&self) -> Result<LinearTable, UnitsError> {
-        let increasing = self.ys.windows(2).all(|w| w[0] < w[1]);
-        let decreasing = self.ys.windows(2).all(|w| w[0] > w[1]);
-        if increasing {
-            LinearTable::new(self.ys.clone(), self.xs.clone())
-        } else if decreasing {
-            let mut ys = self.ys.clone();
-            let mut xs = self.xs.clone();
-            ys.reverse();
-            xs.reverse();
-            LinearTable::new(ys, xs)
-        } else {
-            Err(UnitsError::BadTable {
-                reason: "table is not strictly monotonic; cannot invert",
-            })
-        }
     }
 }
 
@@ -260,8 +199,8 @@ impl MonotoneTable {
     ///
     /// # Errors
     ///
-    /// Returns [`UnitsError::BadTable`] under the same conditions as
-    /// [`LinearTable::from_fn`].
+    /// Returns [`UnitsError::BadTable`] when `n < 2`, the interval is
+    /// degenerate, or `f` returns a non-finite value.
     pub fn from_fn(
         lo: f64,
         hi: f64,
@@ -402,47 +341,6 @@ impl MonotoneTable {
         }
         (self.xs[best], self.ys[best])
     }
-
-    /// Locates the maximum of the *interpolant* by golden-section search in
-    /// the neighbourhood of the best knot. For unimodal data this refines
-    /// the discrete [`MonotoneTable::argmax_knot`] to sub-knot resolution.
-    pub fn argmax_refined(&self) -> (f64, f64) {
-        let n = self.xs.len();
-        let mut best = 0;
-        for i in 1..n {
-            if self.ys[i] > self.ys[best] {
-                best = i;
-            }
-        }
-        let lo = self.xs[best.saturating_sub(1)];
-        let hi = self.xs[(best + 1).min(n - 1)];
-        if !(lo < hi) {
-            return (self.xs[best], self.ys[best]);
-        }
-        // Golden-section maximize on [lo, hi].
-        const INV_PHI: f64 = 0.618_033_988_749_894_9;
-        let (mut a, mut b) = (lo, hi);
-        let mut c = b - INV_PHI * (b - a);
-        let mut d = a + INV_PHI * (b - a);
-        let (mut fc, mut fd) = (self.eval(c), self.eval(d));
-        for _ in 0..80 {
-            if fc >= fd {
-                b = d;
-                d = c;
-                fd = fc;
-                c = b - INV_PHI * (b - a);
-                fc = self.eval(c);
-            } else {
-                a = c;
-                c = d;
-                fc = fd;
-                d = a + INV_PHI * (b - a);
-                fd = self.eval(d);
-            }
-        }
-        let x = 0.5 * (a + b);
-        (x, self.eval(x))
-    }
 }
 
 #[cfg(test)]
@@ -488,7 +386,8 @@ mod monotone_tests {
     fn beats_linear_interp_on_smooth_data() {
         // Monotone stretch of a sine: the regime the device LUTs live in.
         let f = |x: f64| x.sin() + 2.0;
-        let lin = LinearTable::from_fn(0.0, 1.5, 17, f).unwrap();
+        let xs: Vec<f64> = (0..17).map(|i| 1.5 / 16.0 * i as f64).collect();
+        let lin = LinearTable::new(xs.clone(), xs.iter().map(|&x| f(x)).collect()).unwrap();
         let mono = MonotoneTable::from_fn(0.0, 1.5, 17, f).unwrap();
         let mut err_lin = 0.0f64;
         let mut err_mono = 0.0f64;
@@ -501,25 +400,6 @@ mod monotone_tests {
             err_mono < err_lin * 0.5,
             "monotone {err_mono:.2e} vs linear {err_lin:.2e}"
         );
-    }
-
-    #[test]
-    fn argmax_refined_finds_interior_peak() {
-        let f = |x: f64| -(x - 0.7) * (x - 0.7) + 3.0;
-        let t = MonotoneTable::from_fn(0.0, 2.0, 41, f).unwrap();
-        let (x, y) = t.argmax_refined();
-        assert!((x - 0.7).abs() < 1e-3, "peak at {x}");
-        assert!((y - 3.0).abs() < 1e-6);
-        let (xk, _) = t.argmax_knot();
-        assert!((xk - 0.7).abs() <= 0.05 + 1e-12);
-    }
-
-    #[test]
-    fn argmax_refined_handles_boundary_peak() {
-        let t = MonotoneTable::from_fn(0.0, 1.0, 11, |x| x).unwrap();
-        let (x, y) = t.argmax_refined();
-        assert!((x - 1.0).abs() < 1e-3);
-        assert!((y - 1.0).abs() < 1e-3);
     }
 
     #[test]
@@ -646,45 +526,6 @@ mod tests {
         assert_eq!(knots, vec![(0.0, 2.0), (1.0, 4.0), (3.0, 0.0)]);
     }
 
-    #[test]
-    fn argmax_finds_peak() {
-        let t = ramp();
-        assert_eq!(t.argmax(), (1.0, 4.0));
-    }
-
-    #[test]
-    fn from_fn_samples_evenly() {
-        let t = LinearTable::from_fn(0.0, 2.0, 5, |x| x * x).unwrap();
-        assert_eq!(t.len(), 5);
-        assert_eq!(t.eval(1.0), 1.0);
-        // Between knots the quadratic is approximated linearly.
-        let mid = t.eval(0.25);
-        assert!((mid - (0.0 + 0.25) / 2.0 * 0.5).abs() < 0.2);
-        assert!(LinearTable::from_fn(0.0, 0.0, 5, |x| x).is_err());
-        assert!(LinearTable::from_fn(0.0, 1.0, 1, |x| x).is_err());
-    }
-
-    #[test]
-    fn inverse_of_increasing_table() {
-        let t = LinearTable::new(vec![0.0, 1.0, 2.0], vec![10.0, 20.0, 40.0]).unwrap();
-        let inv = t.inverse().unwrap();
-        assert_eq!(inv.eval(20.0), 1.0);
-        assert_eq!(inv.eval(30.0), 1.5);
-    }
-
-    #[test]
-    fn inverse_of_decreasing_table() {
-        let t = LinearTable::new(vec![0.0, 1.0, 2.0], vec![40.0, 20.0, 10.0]).unwrap();
-        let inv = t.inverse().unwrap();
-        assert_eq!(inv.eval(20.0), 1.0);
-        assert_eq!(inv.eval(15.0), 1.5);
-    }
-
-    #[test]
-    fn inverse_rejects_non_monotonic() {
-        assert!(ramp().inverse().is_err());
-    }
-
     // Gated: requires the `proptest` feature plus re-adding the
     // proptest dev-dependency (removed for offline resolution).
     #[cfg(feature = "proptest")]
@@ -714,16 +555,5 @@ mod tests {
             }
         }
 
-        #[test]
-        fn increasing_inverse_round_trips(y0 in 0.0f64..1.0, step in 0.1f64..2.0) {
-            let xs = vec![0.0, 1.0, 2.0, 3.0];
-            let ys: Vec<f64> = xs.iter().map(|x| y0 + step * x).collect();
-            let t = LinearTable::new(xs, ys).unwrap();
-            let inv = t.inverse().unwrap();
-            for x in [0.0, 0.7, 1.3, 2.9, 3.0] {
-                let round = inv.eval(t.eval(x));
-                prop_assert!((round - x).abs() < 1e-9);
-            }
-        }
     }
 }

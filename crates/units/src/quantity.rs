@@ -416,14 +416,6 @@ impl Div<Seconds> for Cycles {
 }
 
 impl Hertz {
-    /// The clock period corresponding to this frequency.
-    ///
-    /// Returns an infinite period for a zero frequency.
-    #[inline]
-    pub fn period(self) -> Seconds {
-        Seconds::new(1.0 / self.hertz())
-    }
-
     /// Creates a frequency from megahertz.
     #[inline]
     pub fn from_mega(mhz: f64) -> Hertz {
@@ -440,14 +432,6 @@ impl Hertz {
     #[inline]
     pub fn to_mega(self) -> f64 {
         self.hertz() * 1e-6
-    }
-}
-
-impl Seconds {
-    /// The frequency whose period is this duration.
-    #[inline]
-    pub fn recip(self) -> Hertz {
-        Hertz::new(1.0 / self.seconds())
     }
 }
 
@@ -526,7 +510,6 @@ mod tests {
     #[test]
     fn frequency_and_cycles() {
         let f = Hertz::from_mega(100.0);
-        assert!((f.period().to_micro() - 0.01).abs() < 1e-15);
         let n = f * Seconds::from_milli(1.0);
         assert!((n.count() - 100_000.0).abs() < 1e-6);
         let t = n / f;
@@ -534,7 +517,6 @@ mod tests {
         let f2 = n / Seconds::from_milli(1.0);
         assert!((f2.hertz() - f.hertz()).abs() < 1e-3);
         assert!((Hertz::from_giga(1.2).to_mega() - 1200.0).abs() < 1e-9);
-        assert!((Seconds::new(0.5).recip().hertz() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -86,12 +86,6 @@ impl Efficiency {
     pub fn input_for_output(self, output: Watts) -> Watts {
         output / self.0
     }
-
-    /// Composes two conversion stages in series.
-    #[inline]
-    pub fn compose(self, other: Efficiency) -> Efficiency {
-        Efficiency(self.0 * other.0)
-    }
 }
 
 impl fmt::Display for Efficiency {
@@ -149,13 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn composition_multiplies() {
-        let a = Efficiency::new(0.8).unwrap();
-        let b = Efficiency::new(0.5).unwrap();
-        assert!((a.compose(b).ratio() - 0.4).abs() < 1e-15);
-    }
-
-    #[test]
     fn display_shows_percent() {
         let eta = Efficiency::new(0.675).unwrap();
         assert_eq!(format!("{eta}"), "67.5%");
@@ -174,13 +161,6 @@ mod tests {
             let e = Efficiency::new(eta).unwrap();
             let back = e.input_for_output(e.apply(Watts::new(p)));
             prop_assert!((back.watts() - p).abs() <= 1e-9 * p);
-        }
-
-        #[test]
-        fn compose_never_exceeds_either_stage(a in 0.0f64..=1.0, b in 0.0f64..=1.0) {
-            let c = Efficiency::new(a).unwrap().compose(Efficiency::new(b).unwrap());
-            prop_assert!(c.ratio() <= a + 1e-15);
-            prop_assert!(c.ratio() <= b + 1e-15);
         }
     }
 }

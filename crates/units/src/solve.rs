@@ -198,26 +198,6 @@ pub fn maximize(
     Ok((x, -neg_y))
 }
 
-/// Integrates `f` over `[lo, hi]` with the composite trapezoid rule on `n`
-/// panels.
-///
-/// Used by energy-accounting tests to cross-check the simulator's discrete
-/// ledgers against analytic integrals.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or the interval is non-finite.
-pub fn trapezoid(mut f: impl FnMut(f64) -> f64, lo: f64, hi: f64, n: usize) -> f64 {
-    assert!(n > 0, "trapezoid requires at least one panel");
-    assert!(lo.is_finite() && hi.is_finite(), "bounds must be finite");
-    let h = (hi - lo) / n as f64;
-    let mut acc = 0.5 * (f(lo) + f(hi));
-    for i in 1..n {
-        acc += f(lo + h * i as f64);
-    }
-    acc * h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,24 +274,6 @@ mod tests {
         let (x, y) = maximize(|x| 5.0 - (x - 2.0).powi(2), 0.0, 4.0, 41).unwrap();
         assert!((x - 2.0).abs() < 1e-5);
         assert!((y - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn trapezoid_integrates_linear_exactly() {
-        let area = trapezoid(|x| 2.0 * x + 1.0, 0.0, 3.0, 4);
-        assert!((area - 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trapezoid_converges_on_quadratic() {
-        let area = trapezoid(|x| x * x, 0.0, 1.0, 10_000);
-        assert!((area - 1.0 / 3.0).abs() < 1e-7);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one panel")]
-    fn trapezoid_rejects_zero_panels() {
-        let _ = trapezoid(|x| x, 0.0, 1.0, 0);
     }
 
     // Gated: requires the `proptest` feature plus re-adding the
